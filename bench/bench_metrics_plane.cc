@@ -1,13 +1,14 @@
-// Metrics-plane cost and exporter audit (ISSUE 10).
+// Metrics-plane cost and exporter audit.
 //
 // Not a paper figure — this measures the reproduction's own observability
-// plane. Three phases:
+// plane, which every service always carries (it is the service's only
+// accounting). Three phases:
 //
-//   0. hot-path overhead probe — the same request stream serves through two
-//      otherwise-identical services, metrics off and on. Reports the
-//      throughput delta, proves the on-path cost is pre-resolved handles
-//      only (the registry lookup counter must not move while serving), and
-//      re-checks decision byte-identity across the two runs.
+//   0. hot path — a request stream serves through one service. Reports the
+//      throughput, proves the per-request cost is pre-resolved handles only
+//      (the registry lookup counter must not move while serving), checks
+//      that Stats() counts every serve exactly once, and times one Stats()
+//      read (a registry cut plus the view over it).
 //   1. exporters — a two-scenario fleet with the flusher serves a mixed
 //      batch, cuts a window, and renders both exporter formats; reports
 //      render latency and output size, and checks the scrape carries the
@@ -28,7 +29,6 @@
 #include "service/service_fleet.h"
 #include "service/trace_ring.h"
 #include "util/metrics.h"
-#include "workload/replay_driver.h"
 
 namespace maliva {
 namespace bench {
@@ -74,46 +74,37 @@ int Run(const MetricsBenchOptions& opts) {
                                       .WithAgentSeeds(1)
                                       .WithDefaultStrategy("baseline");
 
-  // ---- Phase 0: hot-path overhead probe ---------------------------------
-  PrintBanner("Phase 0 — serve throughput, metrics off vs on");
-  double qps_off = 0.0;
-  double qps_on = 0.0;
+  // ---- Phase 0: hot path ------------------------------------------------
+  PrintBanner("Phase 0 — serve throughput with the always-on plane");
+  double qps = 0.0;
   uint64_t lookups_before = 0;
   uint64_t lookups_after = 0;
-  bool bytes_identical = true;
+  uint64_t accounted = 0;
+  double stats_view_us = 0.0;
   {
-    MalivaService off(&twitter, ServiceConfig(shard_cfg));
-    MalivaService on(&twitter, ServiceConfig(shard_cfg).WithMetrics(true));
-    if (!off.Warmup({"baseline"}).ok() || !on.Warmup({"baseline"}).ok()) {
+    MalivaService service(&twitter, ServiceConfig(shard_cfg));
+    if (!service.Warmup({"baseline"}).ok()) {
       std::printf("warmup failed\n");
       return 1;
     }
     std::vector<RewriteRequest> requests = RequestStream(twitter, "", kServes);
     std::span<const RewriteRequest> span(requests);
-    (void)off.ServeBatch(span);  // untimed warm pass (oracle memos, caches)
-    (void)on.ServeBatch(span);
+    (void)service.ServeBatch(span);  // untimed warm pass (oracle memos, caches)
 
-    Stopwatch off_watch;
-    std::vector<Result<RewriteResponse>> off_responses = off.ServeBatch(span);
-    const double off_seconds = off_watch.Seconds();
+    lookups_before = service.metrics_registry()->lookups();
+    Stopwatch watch;
+    (void)service.ServeBatch(span);
+    const double seconds = watch.Seconds();
+    lookups_after = service.metrics_registry()->lookups();
+    qps = static_cast<double>(kServes) / seconds;
 
-    lookups_before = on.metrics_registry()->lookups();
-    Stopwatch on_watch;
-    std::vector<Result<RewriteResponse>> on_responses = on.ServeBatch(span);
-    const double on_seconds = on_watch.Seconds();
-    lookups_after = on.metrics_registry()->lookups();
-
-    qps_off = static_cast<double>(kServes) / off_seconds;
-    qps_on = static_cast<double>(kServes) / on_seconds;
-    for (size_t i = 0; i < off_responses.size(); ++i) {
-      bytes_identical = bytes_identical &&
-                        ReplayDriver::ResponseDigest(off_responses[i]) ==
-                            ReplayDriver::ResponseDigest(on_responses[i]);
-    }
-    std::printf("metrics off: %10.0f QPS\nmetrics on:  %10.0f QPS "
-                "(%+.2f%%)\nregistry lookups while serving: %llu\n",
-                qps_off, qps_on, 100.0 * (qps_off / qps_on - 1.0),
-                static_cast<unsigned long long>(lookups_after - lookups_before));
+    Stopwatch view_watch;
+    accounted = service.Stats().requests;
+    stats_view_us = view_watch.Seconds() * 1e6;
+    std::printf("serve: %10.0f QPS\nregistry lookups while serving: %llu\n"
+                "Stats(): %llu requests accounted in %.1f us\n",
+                qps, static_cast<unsigned long long>(lookups_after - lookups_before),
+                static_cast<unsigned long long>(accounted), stats_view_us);
   }
 
   // ---- Phase 1: exporters -----------------------------------------------
@@ -126,7 +117,7 @@ int Run(const MetricsBenchOptions& opts) {
   size_t windows = 0;
   {
     MalivaFleet fleet(FleetConfig()
-                          .WithDefaults(ServiceConfig(shard_cfg).WithMetrics(true))
+                          .WithDefaults(ServiceConfig(shard_cfg))
                           .WithWarmupStrategies({"baseline"})
                           .WithMetricsFlushMs(600000));  // manual FlushNow
     if (!fleet.RegisterScenario("twitter", &twitter).ok()) return 1;
@@ -170,7 +161,7 @@ int Run(const MetricsBenchOptions& opts) {
   size_t jsonl_bytes = 0;
   {
     MalivaFleet fleet(FleetConfig()
-                          .WithDefaults(ServiceConfig(shard_cfg).WithMetrics(true))
+                          .WithDefaults(ServiceConfig(shard_cfg))
                           .WithWarmupStrategies({"baseline"})
                           .WithTraceRingCapacity(kRingCapacity));
     if (!fleet.RegisterScenario("twitter", &twitter).ok()) return 1;
@@ -201,12 +192,12 @@ int Run(const MetricsBenchOptions& opts) {
   std::fprintf(f, "  \"bench\": \"bench_metrics_plane\",\n");
   std::fprintf(f, "  \"mode\": \"%s\",\n", opts.smoke ? "smoke" : "full");
   std::fprintf(f, "  \"serves\": %zu,\n", kServes);
-  std::fprintf(f, "  \"qps_metrics_off\": %.1f,\n", qps_off);
-  std::fprintf(f, "  \"qps_metrics_on\": %.1f,\n", qps_on);
-  std::fprintf(f, "  \"overhead_pct\": %.3f,\n", 100.0 * (qps_off / qps_on - 1.0));
+  std::fprintf(f, "  \"qps\": %.1f,\n", qps);
   std::fprintf(f, "  \"serve_lookups\": %llu,\n",
                static_cast<unsigned long long>(lookups_after - lookups_before));
-  std::fprintf(f, "  \"bytes_identical\": %s,\n", bytes_identical ? "true" : "false");
+  std::fprintf(f, "  \"accounted_requests\": %llu,\n",
+               static_cast<unsigned long long>(accounted));
+  std::fprintf(f, "  \"stats_view_us\": %.1f,\n", stats_view_us);
   std::fprintf(f, "  \"window_requests\": %llu,\n",
                static_cast<unsigned long long>(window_requests));
   std::fprintf(f, "  \"prometheus_bytes\": %zu,\n", prometheus.size());
@@ -227,8 +218,9 @@ int Run(const MetricsBenchOptions& opts) {
                 static_cast<unsigned long long>(lookups_after - lookups_before));
     ok = false;
   }
-  if (!bytes_identical) {
-    std::printf("CHECK FAILED: metrics on/off decision bytes diverged\n");
+  if (accounted != 2 * kServes) {
+    std::printf("CHECK FAILED: Stats() accounted %llu of %zu serves\n",
+                static_cast<unsigned long long>(accounted), 2 * kServes);
     ok = false;
   }
   if (windows == 0 || window_requests != kServes) {

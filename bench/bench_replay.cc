@@ -242,11 +242,10 @@ int Run(const ReplayBenchOptions& opts) {
   std::vector<std::vector<SloStatus>> load_slo;
   for (LoadPhase& phase : phases) {
     // Fresh fleet per phase: each report starts from a cold gate (EWMA and
-    // queue state do not leak across phases). The metrics plane + SLO
-    // watchdog ride along (ISSUE 10): the load phases are exactly the burn
-    // signal the watchdog exists to flag.
+    // queue state do not leak across phases). The metrics flusher + SLO
+    // watchdog ride along: the load phases are exactly the burn signal the
+    // watchdog exists to flag.
     FleetConfig gated_cfg = FleetConfig(base_cfg).WithAdmission(admission);
-    gated_cfg.defaults.WithMetrics(true);
     gated_cfg.WithMetricsFlushMs(600000)  // flushed manually after the replay
         .WithSloWatchdog(true)
         .WithSloTargetHitRate(0.9)

@@ -7,18 +7,23 @@
 #   scripts/ci.sh          # docs check + regular build + full test suite
 #   scripts/ci.sh --docs   # docs check only (no build): README/docs/DESIGN
 #                          # relative links resolve, and every bench_*.cc has
-#                          # a docs/experiments.md entry
+#                          # a [`name`](#name) row in docs/experiments.md's
+#                          # index
 #   scripts/ci.sh --tsan   # additionally: ThreadSanitizer build (build-tsan/)
 #                          # running the service/concurrency suites
 #   scripts/ci.sh --asan   # additionally: AddressSanitizer build (build-asan/)
 #                          # running the same suites (store stress included)
+#   scripts/ci.sh --ubsan  # additionally: UndefinedBehaviorSanitizer build
+#                          # (build-ubsan/) running the same suites, any
+#                          # finding fatal
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 # Docs leg: every relative markdown link in README.md, DESIGN.md, and docs/
-# must resolve to a file or directory, and every bench binary must have an
-# entry in docs/experiments.md (the authoritative experiment index).
+# must resolve to a file or directory, and every bench binary must have a
+# row in docs/experiments.md's index table (the authoritative experiment
+# index), written as a link to its section: [`name`](#name).
 check_docs() {
   echo "== docs check: links + experiment coverage =="
   local fail=0
@@ -46,8 +51,8 @@ check_docs() {
   local bench name
   for bench in bench/bench_*.cc; do
     name="$(basename "$bench" .cc)"
-    if ! grep -q "$name" docs/experiments.md; then
-      echo "MISSING EXPERIMENT DOC: $name has no entry in docs/experiments.md"
+    if ! grep -qF "| [\`$name\`](#$name) |" docs/experiments.md; then
+      echo "MISSING EXPERIMENT DOC: $name has no [\`$name\`](#$name) index row in docs/experiments.md"
       fail=1
     fi
   done
@@ -60,18 +65,20 @@ check_docs() {
 
 run_tsan=0
 run_asan=0
+run_ubsan=0
 docs_only=0
 for arg in "$@"; do
   case "$arg" in
     --docs) docs_only=1 ;;
     --tsan) run_tsan=1 ;;
     --asan) run_asan=1 ;;
-    *) echo "unknown option: $arg (supported: --docs, --tsan, --asan)" >&2; exit 2 ;;
+    --ubsan) run_ubsan=1 ;;
+    *) echo "unknown option: $arg (supported: --docs, --tsan, --asan, --ubsan)" >&2; exit 2 ;;
   esac
 done
 
 check_docs
-if [[ "$docs_only" == 1 && "$run_tsan" == 0 && "$run_asan" == 0 ]]; then
+if [[ "$docs_only" == 1 && "$run_tsan" == 0 && "$run_asan" == 0 && "$run_ubsan" == 0 ]]; then
   exit 0
 fi
 
@@ -160,21 +167,23 @@ assert prof['profiled'] == prof['records'] > 0
 assert prof['profile_ms']['search'] > 0.0
 EOF
 
-# Metrics-plane smoke: zero registry lookups on the serve hot path, decision
-# byte-identity with metrics on, one flusher window carrying every serve,
-# exporters rendering the expected series, bounded trace-ring retention.
+# Metrics-plane smoke: zero registry lookups on the serve hot path, Stats()
+# accounting every serve exactly once, one flusher window carrying every
+# serve, exporters rendering the expected series, bounded trace-ring
+# retention.
 run_bench_smoke "metrics-plane smoke" bench_metrics_plane BENCH_metrics.json <<'EOF'
 import json, os
 d = json.load(open(os.environ['BENCH_JSON']))
 assert d['bench'] == 'bench_metrics_plane'
 assert d['serve_lookups'] == 0
-assert d['bytes_identical'] is True
+assert d['accounted_requests'] == 2 * d['serves']
+assert d['qps'] > 0 and d['stats_view_us'] > 0
 assert d['window_requests'] == d['serves'] > 0
 assert d['prometheus_bytes'] > 0 and d['json_bytes'] > 0
 assert d['ring_appended'] >= d['ring_retained'] > 0
 EOF
 
-# Both sanitizer legs run the service + concurrency + fleet + admission
+# All three sanitizer legs run the service + concurrency + fleet + admission
 # suites (which include the SharedSelectivityStore stress test, the shard
 # plane's register/serve/drain stress test, and the overload plane's
 # serve-under-overload stress test) plus the selectivity-ladder suites —
@@ -203,5 +212,21 @@ if [[ "$run_asan" == 1 ]]; then
   cmake --build build-asan -j"$(nproc)" --target maliva_tests
   ASAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir build-asan --output-on-failure -j"$(nproc)" \
+      -R "$sanitizer_suites"
+fi
+
+if [[ "$run_ubsan" == 1 ]]; then
+  # UBSan pass over the same suites: integer overflow in the accounting
+  # casts, misaligned or out-of-range reads in the parsers and histograms.
+  # -fno-sanitize-recover turns every finding into a test failure.
+  ubsan_flags="-fsanitize=undefined -fno-sanitize-recover=all -fno-omit-frame-pointer"
+  cmake -B build-ubsan -S . \
+    -DCMAKE_CXX_FLAGS="$ubsan_flags" \
+    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=undefined" \
+    -DMALIVA_BUILD_BENCHES=OFF -DMALIVA_BUILD_EXAMPLES=OFF \
+    -DCMAKE_BUILD_TYPE=RelWithDebInfo
+  cmake --build build-ubsan -j"$(nproc)" --target maliva_tests
+  UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
+    ctest --test-dir build-ubsan --output-on-failure -j"$(nproc)" \
       -R "$sanitizer_suites"
 fi

@@ -26,8 +26,19 @@ struct RewriteResultCache::Flight {
   CachedRewrite value;
 };
 
-RewriteResultCache::RewriteResultCache(const Config& config)
+RewriteResultCache::RewriteResultCache(const Config& config,
+                                       MetricsRegistry* registry)
     : capacity_(std::max<size_t>(1, config.capacity)) {
+  if (registry == nullptr) {
+    own_registry_ = std::make_unique<MetricsRegistry>();
+    registry = own_registry_.get();
+  }
+  hits_ = registry->GetCounter("maliva_result_cache_total", {{"outcome", "hit"}});
+  misses_ = registry->GetCounter("maliva_result_cache_total", {{"outcome", "miss"}});
+  coalesced_ =
+      registry->GetCounter("maliva_result_cache_total", {{"outcome", "coalesced"}});
+  evictions_ = registry->GetCounter("maliva_result_cache_evictions_total");
+  stale_declines_ = registry->GetCounter("maliva_result_cache_stale_declines_total");
   size_t shards = std::clamp<size_t>(config.shards, 1, capacity_);
   per_shard_capacity_ = (capacity_ + shards - 1) / shards;
   shards_.reserve(shards);
@@ -60,7 +71,7 @@ RewriteResultCache::Ticket RewriteResultCache::Begin(uint64_t key,
   if (it != shard.entries.end()) {
     if (it->second.epoch == epoch && it->second.snapshot == snapshot) {
       it->second.referenced = true;
-      hits_.fetch_add(1, std::memory_order_relaxed);
+      hits_->Increment();
       ticket.role = Role::kHit;
       ticket.value = it->second.value;
       return ticket;
@@ -68,23 +79,26 @@ RewriteResultCache::Ticket RewriteResultCache::Begin(uint64_t key,
     // Fingerprint match from a superseded context: never trusted. The entry
     // stays resident (replaced in place when this context's result
     // publishes), so cross-epoch churn cannot grow the map.
-    stale_declines_.fetch_add(1, std::memory_order_relaxed);
+    stale_declines_->Increment();
   }
 
-  misses_.fetch_add(1, std::memory_order_relaxed);
   auto flight_it = shard.flights.find(key);
   if (flight_it != shard.flights.end()) {
     if (flight_it->second->epoch == epoch &&
         flight_it->second->snapshot == snapshot) {
+      // Counted once, when WaitForLeader resolves: coalesced or a miss.
       ticket.role = Role::kFollower;
       ticket.flight = flight_it->second;
     } else {
       // A leader is searching this key under a different context; its answer
       // would be exactly what the entry check above declined. Compute solo.
+      misses_->Increment();
       ticket.role = Role::kSolo;
     }
     return ticket;
   }
+
+  misses_->Increment();
 
   auto flight = std::make_shared<Flight>();
   flight->epoch = epoch;
@@ -106,7 +120,7 @@ std::optional<CachedRewrite> RewriteResultCache::Probe(uint64_t key,
     return std::nullopt;  // not counted: the serve path's Begin() will be
   }
   it->second.referenced = true;
-  hits_.fetch_add(1, std::memory_order_relaxed);
+  hits_->Increment();
   return it->second.value;
 }
 
@@ -141,7 +155,7 @@ void RewriteResultCache::InsertLocked(Shard& shard, uint64_t key,
         continue;
       }
       shard.entries.erase(victim);
-      evictions_.fetch_add(1, std::memory_order_relaxed);
+      evictions_->Increment();
       shard.ring[shard.hand] = key;
       break;
     }
@@ -205,18 +219,21 @@ std::optional<CachedRewrite> RewriteResultCache::WaitForLeader(
   Flight& flight = *ticket.flight;
   std::unique_lock<std::mutex> lock(flight.mutex);
   flight.cv.wait(lock, [&flight] { return flight.done; });
-  if (!flight.ok) return std::nullopt;  // leader aborted: compute solo
-  coalesced_.fetch_add(1, std::memory_order_relaxed);
+  if (!flight.ok) {
+    misses_->Increment();  // leader aborted: this request computes solo
+    return std::nullopt;
+  }
+  coalesced_->Increment();
   return flight.value;
 }
 
 RewriteResultCache::Stats RewriteResultCache::Snapshot() const {
   Stats s;
-  s.hits = hits_.load(std::memory_order_relaxed);
-  s.misses = misses_.load(std::memory_order_relaxed);
-  s.coalesced = coalesced_.load(std::memory_order_relaxed);
-  s.evictions = evictions_.load(std::memory_order_relaxed);
-  s.stale_declines = stale_declines_.load(std::memory_order_relaxed);
+  s.hits = hits_->Value();
+  s.misses = misses_->Value();
+  s.coalesced = coalesced_->Value();
+  s.evictions = evictions_->Value();
+  s.stale_declines = stale_declines_->Value();
   s.size = Size();
   return s;
 }

@@ -18,6 +18,13 @@
 // publish). Bumping either version therefore invalidates the whole cache in
 // O(1) without touching any shard.
 //
+// Accounting. Outcomes are counted once, into the owning service's metrics
+// registry: maliva_result_cache_total{outcome} with hit, miss and coalesced
+// partitioning the probed requests (a follower counts as coalesced when its
+// leader publishes and as a miss when it aborts), plus
+// maliva_result_cache_evictions_total and
+// maliva_result_cache_stale_declines_total.
+//
 // Single-flight coalescing. When N concurrent requests miss on the same
 // key, one (the leader) computes while the rest (followers) block on the
 // leader's in-flight slot and replay its published result — N searches
@@ -44,7 +51,6 @@
 #ifndef MALIVA_SERVICE_REWRITE_RESULT_CACHE_H_
 #define MALIVA_SERVICE_REWRITE_RESULT_CACHE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -104,17 +110,21 @@ class RewriteResultCache {
     std::shared_ptr<Flight> flight;
   };
 
-  explicit RewriteResultCache(const Config& config);
+  /// Counts into `registry`'s series (see "Accounting" above); a null
+  /// registry gives the cache a private one, for standalone use.
+  explicit RewriteResultCache(const Config& config,
+                              MetricsRegistry* registry = nullptr);
   ~RewriteResultCache();
 
   RewriteResultCache(const RewriteResultCache&) = delete;
   RewriteResultCache& operator=(const RewriteResultCache&) = delete;
 
   /// Probes `key` under the (epoch, snapshot) context and enrolls in the
-  /// single-flight protocol on a miss: the first misser becomes the leader,
-  /// concurrent missers under the same context become followers, and a
-  /// context mismatch with an existing flight yields kSolo. A resident
-  /// entry under a different context counts one stale decline.
+  /// single-flight protocol on a miss: the first misser becomes the leader
+  /// (counted as a miss), concurrent missers under the same context become
+  /// followers (counted when WaitForLeader resolves), and a context mismatch
+  /// with an existing flight yields kSolo (a miss). A resident entry under a
+  /// different context counts one stale decline.
   Ticket Begin(uint64_t key, uint64_t epoch, uint64_t snapshot);
 
   /// Probe-only lookup for the admission plane: returns the cached value on
@@ -138,14 +148,13 @@ class RewriteResultCache {
   void Abort(const Ticket& ticket, uint64_t key);
 
   /// Follower wait: blocks until the ticket's leader publishes or aborts.
-  /// Returns the leader's value (counted as coalesced) or nullopt on abort.
+  /// Returns the leader's value (counted as coalesced) or nullopt on abort
+  /// (counted as a miss: the follower computes solo).
   std::optional<CachedRewrite> WaitForLeader(const Ticket& ticket);
 
   /// Batch-dedup accounting: `n` requests replayed from one in-batch
   /// computation without enrolling flights (MalivaService::ServeBatch).
-  void NoteCoalesced(uint64_t n) {
-    coalesced_.fetch_add(n, std::memory_order_relaxed);
-  }
+  void NoteCoalesced(uint64_t n) { coalesced_->Increment(n); }
 
   struct Stats {
     uint64_t hits = 0;            ///< context-exact probe hits
@@ -155,6 +164,7 @@ class RewriteResultCache {
     uint64_t stale_declines = 0;  ///< fingerprint matches refused on context
     size_t size = 0;              ///< resident entries at snapshot time
   };
+  /// Reads the counters back (the registry holds the only copy).
   Stats Snapshot() const;
 
   /// Resident entries (sum over shards; exact when quiescent).
@@ -193,11 +203,12 @@ class RewriteResultCache {
   size_t per_shard_capacity_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> coalesced_{0};
-  std::atomic<uint64_t> evictions_{0};
-  std::atomic<uint64_t> stale_declines_{0};
+  std::unique_ptr<MetricsRegistry> own_registry_;  ///< standalone use only
+  Counter* hits_;
+  Counter* misses_;
+  Counter* coalesced_;
+  Counter* evictions_;
+  Counter* stale_declines_;
 };
 
 }  // namespace maliva

@@ -175,16 +175,23 @@ Status ServiceConfig::Validate() const {
           ")");
     }
   }
-  if (!metrics && !metrics_scenario.empty()) {
-    return Status::InvalidArgument(
-        "metrics_scenario requires metrics (the label has no registry to "
-        "stamp)");
-  }
   return Status::OK();
 }
 
+namespace {
+
+MetricLabels ScenarioLabel(const std::string& scenario) {
+  if (scenario.empty()) return {};
+  return {{"scenario", scenario}};
+}
+
+}  // namespace
+
 MalivaService::MalivaService(Scenario* scenario, ServiceConfig config)
-    : scenario_(scenario), config_(std::move(config)) {
+    : scenario_(scenario),
+      config_(std::move(config)),
+      metrics_registry_(ScenarioLabel(config_.metrics_scenario)),
+      serve_metrics_(metrics_registry_) {
   assert(scenario_ != nullptr && "MalivaService requires a built scenario");
   if (config_.qte.has_value()) {
     qte_params_ = *config_.qte;  // explicit override wins, jitter seed included
@@ -215,7 +222,8 @@ MalivaService::MalivaService(Scenario* scenario, ServiceConfig config)
     RewriteResultCache::Config cache_config;
     cache_config.capacity = config_.result_cache_capacity;
     cache_config.shards = config_.result_cache_shards;
-    state_.result_cache = std::make_unique<RewriteResultCache>(cache_config);
+    state_.result_cache =
+        std::make_unique<RewriteResultCache>(cache_config, &metrics_registry_);
   }
   if (config_status_.ok() && config_.histogram_selectivity) {
     // Rebuild the engine's histograms at the configured resolution first:
@@ -253,50 +261,6 @@ MalivaService::MalivaService(Scenario* scenario, ServiceConfig config)
     trainer_config.background_threads = config_.online_trainer_threads;
     state_.continual_trainer = std::make_unique<ContinualTrainer>(
         state_.model_registry.get(), trainer_config);
-  }
-  if (config_status_.ok() && config_.metrics) {
-    // Resolve every hot-path handle exactly once, here: after construction
-    // the serve path records through raw pointers — zero registry map
-    // lookups per request (metrics_test asserts this via lookups()).
-    MetricLabels base;
-    if (!config_.metrics_scenario.empty()) {
-      base.emplace_back("scenario", config_.metrics_scenario);
-    }
-    metrics_registry_ = std::make_unique<MetricsRegistry>(std::move(base));
-    MetricsRegistry& reg = *metrics_registry_;
-    serve_metrics_.requests_ok =
-        reg.GetCounter("maliva_requests_total", {{"verdict", "ok"}});
-    serve_metrics_.requests_error =
-        reg.GetCounter("maliva_requests_total", {{"verdict", "error"}});
-    serve_metrics_.exact_fallbacks = reg.GetCounter("maliva_exact_fallbacks_total", {});
-    serve_metrics_.cache_hits =
-        reg.GetCounter("maliva_result_cache_total", {{"outcome", "hit"}});
-    serve_metrics_.cache_misses =
-        reg.GetCounter("maliva_result_cache_total", {{"outcome", "miss"}});
-    serve_metrics_.cache_coalesced =
-        reg.GetCounter("maliva_result_cache_total", {{"outcome", "coalesced"}});
-    serve_metrics_.tier_shared =
-        reg.GetCounter("maliva_selectivity_slots_total", {{"rung", "shared"}});
-    serve_metrics_.tier_histogram =
-        reg.GetCounter("maliva_selectivity_slots_total", {{"rung", "histogram"}});
-    serve_metrics_.tier_probe =
-        reg.GetCounter("maliva_selectivity_slots_total", {{"rung", "probe"}});
-    serve_metrics_.admission_admitted =
-        reg.GetCounter("maliva_admission_total", {{"verdict", "admitted"}});
-    serve_metrics_.admission_degraded =
-        reg.GetCounter("maliva_admission_total", {{"verdict", "degraded"}});
-    serve_metrics_.admission_shed_deadline =
-        reg.GetCounter("maliva_admission_total", {{"verdict", "shed_deadline"}});
-    serve_metrics_.admission_shed_overload =
-        reg.GetCounter("maliva_admission_total", {{"verdict", "shed_overload"}});
-    serve_metrics_.serve_latency = reg.GetHistogram("maliva_serve_latency_ms", {});
-    serve_metrics_.queue_wait = reg.GetHistogram("maliva_queue_wait_ms", {});
-    serve_metrics_.result_cache_entries =
-        reg.GetGauge("maliva_result_cache_entries", {});
-    serve_metrics_.shared_store_entries =
-        reg.GetGauge("maliva_shared_store_entries", {});
-    serve_metrics_.agent_snapshot_version =
-        reg.GetGauge("maliva_agent_snapshot_version", {});
   }
 }
 
@@ -530,17 +494,32 @@ RewriteResponse ReplayCached(const CachedRewrite& cached, const Query& query,
 
 /// Aborts a leader's in-flight slot on error-path returns between Begin and
 /// Publish, so followers wake up and compute solo instead of blocking on a
-/// leader that will never publish.
-struct FlightAbortGuard {
-  RewriteResultCache* cache = nullptr;
-  const RewriteResultCache::Ticket* ticket = nullptr;
-  uint64_t key = 0;
-  bool armed = false;
-
-  void Disarm() { armed = false; }
+/// leader that will never publish. Not copyable: a temporary copy would
+/// abort the flight the moment it died, defeating single-flight entirely.
+class FlightAbortGuard {
+ public:
+  FlightAbortGuard() = default;
+  FlightAbortGuard(const FlightAbortGuard&) = delete;
+  FlightAbortGuard& operator=(const FlightAbortGuard&) = delete;
   ~FlightAbortGuard() {
-    if (armed) cache->Abort(*ticket, key);
+    if (armed_) cache_->Abort(*ticket_, key_);
   }
+
+  /// Arms the guard when `ticket` leads a flight (other roles own none).
+  void Arm(RewriteResultCache* cache, const RewriteResultCache::Ticket* ticket,
+           uint64_t key) {
+    cache_ = cache;
+    ticket_ = ticket;
+    key_ = key;
+    armed_ = ticket->role == RewriteResultCache::Role::kLeader;
+  }
+  void Disarm() { armed_ = false; }
+
+ private:
+  RewriteResultCache* cache_ = nullptr;
+  const RewriteResultCache::Ticket* ticket_ = nullptr;
+  uint64_t key_ = 0;
+  bool armed_ = false;
 };
 
 /// Request validation: reject malformed inputs before touching any strategy.
@@ -601,12 +580,10 @@ std::optional<RewriteResponse> MalivaService::TryServeCached(
 
   RewriteResponse resp =
       ReplayCached(*cached, *request.query, /*coalesced=*/false);
-  double wall_ms = std::chrono::duration<double, std::milli>(
-                       std::chrono::steady_clock::now() - wall_start)
-                       .count();
-  resp.stats.serve_wall_ms = wall_ms;
-  telemetry_.RecordServedCached(resp.exact_fallback, wall_ms);
-  RecordServedMetrics(resp, wall_ms);
+  resp.stats.serve_wall_ms = std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - wall_start)
+                                .count();
+  Account(&resp, resp.stats.serve_wall_ms);
   return resp;
 }
 
@@ -629,63 +606,34 @@ uint64_t MalivaService::FingerprintRequest(const RewriteRequest& request) const 
       .value;
 }
 
-void MalivaService::RecordServedMetrics(const RewriteResponse& response,
-                                        double wall_ms) const {
+void MalivaService::Account(const RewriteResponse* response, double wall_ms) const {
   const ServeMetrics& m = serve_metrics_;
-  if (m.requests_ok == nullptr) return;  // metrics off — the only check paid
-  m.requests_ok->Increment();
   m.serve_latency->Record(wall_ms);
-  if (response.exact_fallback) m.exact_fallbacks->Increment();
-  if (response.stats.result_cache_hit) {
-    m.cache_hits->Increment();
-    if (response.stats.result_cache_coalesced) m.cache_coalesced->Increment();
-    // A replayed decision did no selectivity work of its own (the template's
-    // rung split was billed when the original miss served).
+  if (response == nullptr) {
+    m.requests_error->Increment();
     return;
   }
-  if (state_.result_cache != nullptr) m.cache_misses->Increment();
-  m.tier_shared->Increment(response.stats.selectivity_tier_hits[0]);
-  m.tier_histogram->Increment(response.stats.selectivity_tier_hits[1]);
-  m.tier_probe->Increment(response.stats.selectivity_tier_hits[2]);
-}
-
-void MalivaService::RecordErrorMetrics(double wall_ms) const {
-  const ServeMetrics& m = serve_metrics_;
-  if (m.requests_error == nullptr) return;
-  m.requests_error->Increment();
-  m.serve_latency->Record(wall_ms);
+  m.requests_ok->Increment();
+  if (response->exact_fallback) m.exact_fallbacks->Increment();
+  if (response->stats.result_cache_hit) return;
+  const RequestStats& stats = response->stats;
+  m.tier_shared->Increment(stats.selectivity_tier_hits[0]);
+  m.tier_histogram->Increment(stats.selectivity_tier_hits[1]);
+  m.tier_probe->Increment(stats.selectivity_tier_hits[2]);
+  m.shared_published->Increment(stats.shared_published);
 }
 
 Result<RewriteResponse> MalivaService::ServeIndexed(const RewriteRequest& request,
                                                     uint64_t request_index) const {
-  // Telemetry wrapper: time the request on the host wall clock (the one
-  // quantity virtual time cannot provide) and fold its accounting into the
-  // service counters, errors included.
+  // Time the request on the host wall clock (the one quantity virtual time
+  // cannot provide) and account it, errors included.
   auto wall_start = std::chrono::steady_clock::now();
   Result<RewriteResponse> result = ServeImpl(request, request_index);
   double wall_ms = std::chrono::duration<double, std::milli>(
                        std::chrono::steady_clock::now() - wall_start)
                        .count();
-  if (result.ok()) {
-    RewriteResponse& resp = result.value();
-    resp.stats.serve_wall_ms = wall_ms;
-    if (resp.stats.result_cache_hit) {
-      // A replayed decision: its selectivity counters are the template of
-      // the miss that computed it, already folded in when that miss served.
-      // Count the request without re-billing work nobody did.
-      telemetry_.RecordServedCached(resp.exact_fallback, wall_ms);
-    } else {
-      telemetry_.RecordServed(resp.stats.selectivities_collected,
-                              resp.stats.shared_hits, resp.stats.shared_published,
-                              resp.stats.selectivity_tier_hits[1],
-                              resp.stats.selectivity_tier_hits[2],
-                              resp.exact_fallback, wall_ms);
-    }
-    RecordServedMetrics(resp, wall_ms);
-  } else {
-    telemetry_.RecordError(wall_ms);
-    RecordErrorMetrics(wall_ms);
-  }
+  if (result.ok()) result.value().stats.serve_wall_ms = wall_ms;
+  Account(result.ok() ? &result.value() : nullptr, wall_ms);
   return result;
 }
 
@@ -792,8 +740,7 @@ Result<RewriteResponse> MalivaService::ServeImpl(const RewriteRequest& request,
       ticket = RewriteResultCache::Ticket{};  // leader aborted: compute solo
     }
     if (prof != nullptr) prof->StopTimer(QueryProfiler::kCacheProbe);
-    abort_guard = FlightAbortGuard{rcache, &ticket, fingerprint,
-                                   ticket.role == RewriteResultCache::Role::kLeader};
+    abort_guard.Arm(rcache, &ticket, fingerprint);
   }
 
   if (model) {
@@ -824,7 +771,7 @@ Result<RewriteResponse> MalivaService::ServeImpl(const RewriteRequest& request,
     resp.strategy = "baseline";
     resp.outcome = exact.value()->RewriteForSession(*request.query, tau, session);
     resp.outcome.planning_ms += session.abandoned_planning_ms();
-    resp.outcome.total_ms += session.abandoned_planning_ms();
+    resp.outcome.total_ms = resp.outcome.planning_ms + resp.outcome.exec_ms;
     resp.outcome.steps += session.abandoned_steps();
     resp.outcome.viable = resp.outcome.total_ms <= tau;
     resp.option = exact.value()->DecidedOption(resp.outcome);
@@ -907,56 +854,50 @@ Result<RewriteResponse> MalivaService::ServeImpl(const RewriteRequest& request,
   return resp;
 }
 
-ServiceStats MalivaService::Stats() const {
-  ServiceStats stats = telemetry_.Snapshot();
-  // store_* fields stay identically zero while the plane is off (the
-  // documented ServiceStats contract).
+MetricsSnapshot MalivaService::SnapshotMetrics() const {
+  // Levels stay owned by their components; mirror them into the gauges
+  // right before the cut. A plane that is off leaves its gauges at zero.
+  const ServeMetrics& m = serve_metrics_;
   if (state_.shared_store != nullptr) {
-    stats.store_size = state_.shared_store->Size();
-    stats.store_evictions = state_.shared_store->Evictions();
-    stats.store_epoch = scenario_->engine->catalog_version();
+    m.shared_store_entries->Set(static_cast<int64_t>(state_.shared_store->Size()));
+    m.shared_store_evictions->Set(
+        static_cast<int64_t>(state_.shared_store->Evictions()));
   }
-  // histogram_* tier-health fields stay identically zero while the tier is
-  // off; the per-rung hit counters above are recorded unconditionally.
   if (state_.selectivity_tier != nullptr) {
     SelectivityTier::Stats tier = state_.selectivity_tier->Snapshot();
-    stats.histogram_mean_abs_rel_error = tier.mean_abs_rel_error;
-    stats.histogram_error_samples = tier.error_samples;
-    stats.histogram_demoted_columns = tier.demoted_columns;
+    m.histogram_error_samples->Set(static_cast<int64_t>(tier.error_samples));
+    m.histogram_demoted_columns->Set(static_cast<int64_t>(tier.demoted_columns));
   }
-  // result_cache_* fields stay identically zero while the cache is off
-  // (the documented ServiceStats contract, mirroring the store_* fields).
   if (state_.result_cache != nullptr) {
-    RewriteResultCache::Stats cache = state_.result_cache->Snapshot();
-    stats.result_cache_hits = cache.hits;
-    stats.result_cache_misses = cache.misses;
-    stats.result_cache_coalesced = cache.coalesced;
-    stats.result_cache_evictions = cache.evictions;
-    stats.result_cache_stale_declines = cache.stale_declines;
-    stats.result_cache_size = cache.size;
+    m.result_cache_entries->Set(static_cast<int64_t>(state_.result_cache->Size()));
   }
-  // online_* fields stay identically zero while the plane is off (the
-  // documented ServiceStats contract, mirroring the store_* fields).
   if (state_.continual_trainer != nullptr) {
     ContinualTrainer::StatsSnapshot online = state_.continual_trainer->Snapshot();
-    stats.online_transitions = online.transitions_recorded;
-    stats.online_transitions_dropped = online.transitions_dropped;
-    stats.online_transitions_pending = online.transitions_pending;
-    stats.online_retrains = online.retrains_published;
-    stats.online_rejected = online.retrains_rejected;
-    stats.online_snapshot_version = online.snapshot_version;
+    m.online_recorded->Set(static_cast<int64_t>(online.transitions_recorded));
+    m.online_dropped->Set(static_cast<int64_t>(online.transitions_dropped));
+    m.online_pending->Set(static_cast<int64_t>(online.transitions_pending));
+    m.online_published->Set(static_cast<int64_t>(online.retrains_published));
+    m.online_rejected->Set(static_cast<int64_t>(online.retrains_rejected));
+    m.agent_snapshot_version->Set(static_cast<int64_t>(online.snapshot_version));
+  }
+  return metrics_registry_.Snapshot();
+}
+
+ServiceStats MalivaService::StatsFrom(const MetricsSnapshot& snapshot) const {
+  ServiceStats stats = StatsFromMetrics(snapshot);
+  // The non-additive levels no snapshot carries; each stays identically
+  // zero while its plane is off (the documented ServiceStats contract).
+  if (state_.shared_store != nullptr) {
+    stats.store_epoch = scenario_->engine->catalog_version();
+  }
+  if (state_.selectivity_tier != nullptr) {
+    stats.histogram_mean_abs_rel_error =
+        state_.selectivity_tier->Snapshot().mean_abs_rel_error;
+  }
+  if (state_.continual_trainer != nullptr) {
+    ContinualTrainer::StatsSnapshot online = state_.continual_trainer->Snapshot();
     stats.last_retrain_reward_pre = online.last_reward_pre;
     stats.last_retrain_reward_post = online.last_reward_post;
-  }
-  // Gauge refresh (metrics on only): gauges mirror plane sizes at snapshot
-  // time, so they update where the sizes are read — Stats() and the fleet's
-  // flusher both route through here.
-  if (metrics_registry_ != nullptr) {
-    serve_metrics_.result_cache_entries->Set(
-        static_cast<int64_t>(stats.result_cache_size));
-    serve_metrics_.shared_store_entries->Set(static_cast<int64_t>(stats.store_size));
-    serve_metrics_.agent_snapshot_version->Set(
-        static_cast<int64_t>(stats.online_snapshot_version));
   }
   return stats;
 }
@@ -1053,8 +994,7 @@ std::vector<Result<RewriteResponse>> MalivaService::ServeBatch(
     if (!led.ok()) {
       // The leader's error is this context's answer (identical requests fail
       // identically); replaying it keeps per-slot outcomes consistent.
-      telemetry_.RecordError(0.0);
-      RecordErrorMetrics(0.0);
+      Account(nullptr, 0.0);
       slots[i] = led.status();
       continue;
     }
@@ -1063,12 +1003,10 @@ std::vector<Result<RewriteResponse>> MalivaService::ServeBatch(
                       led.value().option, led.value().exact_fallback,
                       led.value().stats},
         *requests[i].query, /*coalesced=*/true);
-    double wall_ms = std::chrono::duration<double, std::milli>(
-                         std::chrono::steady_clock::now() - wall_start)
-                         .count();
-    resp.stats.serve_wall_ms = wall_ms;
-    telemetry_.RecordServedCached(resp.exact_fallback, wall_ms);
-    RecordServedMetrics(resp, wall_ms);
+    resp.stats.serve_wall_ms = std::chrono::duration<double, std::milli>(
+                                  std::chrono::steady_clock::now() - wall_start)
+                                  .count();
+    Account(&resp, resp.stats.serve_wall_ms);
     rcache->NoteCoalesced(1);
     slots[i] = std::move(resp);
   }

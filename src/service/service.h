@@ -217,18 +217,10 @@ struct ServiceConfig {
   /// Profile every Nth request (1 = all). Must be >= 1 when profiling is on.
   size_t profile_sample_every = 1;
 
-  /// Metrics plane (DESIGN.md "Observability plane"). Off (the default): no
-  /// registry is constructed, the serve path holds one null-pointer check
-  /// per would-be record, and responses stay byte-identical to pre-metrics
-  /// behavior. On: the service owns a MetricsRegistry of labeled counters,
-  /// gauges, and latency histograms (serve latency, queue wait, cache/tier/
-  /// admission outcomes), with every handle pre-resolved at construction so
-  /// the hot path performs zero registry map lookups. Pure measurement —
-  /// nothing recorded ever feeds back into a decision.
-  bool metrics = false;
-  /// Value of the `scenario` base label stamped on every series (the fleet
-  /// sets this to the shard's routing key at registration). Empty = no
-  /// scenario label. Requires `metrics`.
+  /// Value of the `scenario` base label stamped on every series of the
+  /// service's metrics registry (DESIGN.md "Observability plane"; the
+  /// registry is always on). The fleet sets this to the shard's routing key
+  /// at registration. Empty = no scenario label.
   std::string metrics_scenario;
 
   /// Upper bound Validate() accepts for num_threads.
@@ -382,42 +374,10 @@ struct ServiceConfig {
     profile_sample_every = every;
     return *this;
   }
-  ServiceConfig& WithMetrics(bool enabled) {
-    metrics = enabled;
-    return *this;
-  }
   ServiceConfig& WithMetricsScenario(std::string scenario) {
     metrics_scenario = std::move(scenario);
     return *this;
   }
-};
-
-/// Pre-resolved metric handles for the serve hot path (ISSUE 10): every
-/// pointer is resolved from the service's MetricsRegistry exactly once, at
-/// construction, so recording is relaxed atomic ops only — zero map lookups
-/// per request (provable via MetricsRegistry::lookups()). All null while
-/// ServiceConfig::metrics is off; the admission/queue-wait handles are
-/// recorded by the fleet's gate path (a shed request never reaches the
-/// shard's own serve path).
-struct ServeMetrics {
-  Counter* requests_ok = nullptr;       ///< maliva_requests_total{verdict="ok"}
-  Counter* requests_error = nullptr;    ///< maliva_requests_total{verdict="error"}
-  Counter* exact_fallbacks = nullptr;   ///< maliva_exact_fallbacks_total
-  Counter* cache_hits = nullptr;        ///< maliva_result_cache_total{outcome="hit"}
-  Counter* cache_misses = nullptr;      ///< maliva_result_cache_total{outcome="miss"}
-  Counter* cache_coalesced = nullptr;   ///< maliva_result_cache_total{outcome="coalesced"}
-  Counter* tier_shared = nullptr;       ///< maliva_selectivity_slots_total{rung="shared"}
-  Counter* tier_histogram = nullptr;    ///< maliva_selectivity_slots_total{rung="histogram"}
-  Counter* tier_probe = nullptr;        ///< maliva_selectivity_slots_total{rung="probe"}
-  Counter* admission_admitted = nullptr;       ///< maliva_admission_total{verdict="admitted"}
-  Counter* admission_degraded = nullptr;       ///< maliva_admission_total{verdict="degraded"}
-  Counter* admission_shed_deadline = nullptr;  ///< maliva_admission_total{verdict="shed_deadline"}
-  Counter* admission_shed_overload = nullptr;  ///< maliva_admission_total{verdict="shed_overload"}
-  LatencyHistogram* serve_latency = nullptr;   ///< maliva_serve_latency_ms
-  LatencyHistogram* queue_wait = nullptr;      ///< maliva_queue_wait_ms
-  Gauge* result_cache_entries = nullptr;       ///< maliva_result_cache_entries
-  Gauge* shared_store_entries = nullptr;       ///< maliva_shared_store_entries
-  Gauge* agent_snapshot_version = nullptr;     ///< maliva_agent_snapshot_version
 };
 
 /// One rewriting request.
@@ -530,7 +490,7 @@ class MalivaService {
   /// a miss). Returns nullopt on any miss — cache off, invalid request,
   /// cold strategy, absent or stale entry — in which case nothing was
   /// counted and the caller proceeds down the normal serve path. A hit is
-  /// recorded in the service telemetry exactly like a served request.
+  /// counted exactly like a served request.
   std::optional<RewriteResponse> TryServeCached(const RewriteRequest& request) const;
 
   /// Strategy names registered in the global factory. A given instance may
@@ -538,13 +498,23 @@ class MalivaService {
   /// configured) — Serve reports that per request as a Status.
   std::vector<std::string> RegisteredStrategies() const;
 
-  /// Snapshot of the serving counters (requests, errors, fallbacks, shared
-  /// hits vs local collections, wall latency) plus the shared store's size,
-  /// evictions, and current epoch, and — with online learning on — the
-  /// newest agent snapshot version, transitions collected, retrain counts,
-  /// and the last round's pre/post validation rewards. Thread-safe; each
-  /// counter is individually exact, the snapshot is not a single atomic cut.
-  ServiceStats Stats() const;
+  /// The serving counters as a view of the metrics registry
+  /// (StatsFromMetrics over SnapshotMetrics()): requests, errors, fallbacks,
+  /// selectivity rungs, cache outcomes, wall latency, admission verdicts,
+  /// plus the plane levels — store size/evictions/epoch, histogram-tier
+  /// health, and with online learning on the newest agent snapshot version,
+  /// transition and retrain counts, and the last round's pre/post validation
+  /// rewards. Thread-safe; each field is individually exact, the snapshot is
+  /// not a single atomic cut.
+  ServiceStats Stats() const { return StatsFrom(SnapshotMetrics()); }
+
+  /// A cut of the registry with the level gauges refreshed first — the
+  /// input of Stats() and of the fleet's merged snapshot.
+  MetricsSnapshot SnapshotMetrics() const;
+  /// Stats() over an already taken cut: StatsFromMetrics plus this service's
+  /// non-additive levels (store epoch, histogram-tier error, retrain
+  /// rewards).
+  ServiceStats StatsFrom(const MetricsSnapshot& snapshot) const;
 
   /// Online learning plane accessors (null while
   /// ServiceConfig::online_learning is off). The trainer exposes
@@ -553,13 +523,11 @@ class MalivaService {
   ContinualTrainer* online_trainer() const { return state_.continual_trainer.get(); }
   ModelRegistry* model_registry() const { return state_.model_registry.get(); }
 
-  /// Metrics plane accessors (null while ServiceConfig::metrics is off).
-  /// serve_metrics() hands out the pre-resolved handle struct so external
-  /// recorders (the fleet's gate path) never touch the registry map either.
-  MetricsRegistry* metrics_registry() const { return metrics_registry_.get(); }
-  const ServeMetrics* serve_metrics() const {
-    return metrics_registry_ == nullptr ? nullptr : &serve_metrics_;
-  }
+  /// The service's metrics registry (never null). serve_metrics() hands out
+  /// the pre-resolved handles so external recorders (the fleet's gate path)
+  /// never touch the registry map either.
+  MetricsRegistry* metrics_registry() const { return &metrics_registry_; }
+  const ServeMetrics& serve_metrics() const { return serve_metrics_; }
 
   /// Decision-context fingerprint of `request` — the same canonicalized
   /// (signature, strategy, tau-bin) key the rewrite-result cache uses.
@@ -627,7 +595,7 @@ class MalivaService {
  private:
   /// Serve body; `request_index` seeds the per-request session RNG (0 for
   /// single Serve calls, the batch position inside ServeBatch). Wraps
-  /// ServeImpl with wall-clock timing and telemetry accounting.
+  /// ServeImpl with wall-clock timing and Account().
   Result<RewriteResponse> ServeIndexed(const RewriteRequest& request,
                                        uint64_t request_index) const;
 
@@ -658,19 +626,15 @@ class MalivaService {
   /// Tau/floor binning of result-cache keys, derived from the config.
   FingerprintOptions fingerprint_options_;
 
-  /// Records the labeled serve-path metrics for one response (no-op while
-  /// metrics are off). Split from ServeIndexed so TryServeCached and the
-  /// replay phase of ServeBatch share the exact outcome classification.
-  void RecordServedMetrics(const RewriteResponse& response, double wall_ms) const;
-  void RecordErrorMetrics(double wall_ms) const;
+  /// The one accounting routine: counts one finished request (`response`
+  /// null = it failed) into the registry. ServeIndexed, TryServeCached and
+  /// ServeBatch's replay phase all end here. A replayed decision counts no
+  /// selectivity work: its rungs were billed when the original miss served.
+  void Account(const RewriteResponse* response, double wall_ms) const;
 
-  /// Serving counters behind Stats(); internally atomic.
-  mutable ServingTelemetry telemetry_;
-
-  /// Metrics plane (ISSUE 10): constructed only when config_.metrics is on.
-  /// All serve_metrics_ handles resolve at construction — the serve path is
-  /// one null check plus relaxed atomics, zero registry lookups.
-  std::unique_ptr<MetricsRegistry> metrics_registry_;
+  /// The accounting plane: every serve-path handle is resolved at
+  /// construction, so recording is relaxed atomics, zero registry lookups.
+  mutable MetricsRegistry metrics_registry_;
   ServeMetrics serve_metrics_;
 
   /// Guards mutation of `state_` (strategy builds, SetApproxRules). Reads

@@ -30,11 +30,6 @@ Status FleetConfig::Validate() const {
         std::to_string(warmup_threads) + "; likely an unsigned wrap-around)");
   }
   MALIVA_RETURN_NOT_OK(admission.Validate());
-  if (metrics_flush_ms > 0 && !defaults.metrics) {
-    return Status::InvalidArgument(
-        "metrics_flush_ms requires defaults.metrics (there is no registry to "
-        "snapshot)");
-  }
   if (slo_watchdog) {
     if (metrics_flush_ms == 0) {
       return Status::InvalidArgument(
@@ -63,58 +58,6 @@ Status FleetConfig::Validate() const {
   }
   return Status::OK();
 }
-
-namespace {
-
-/// Folds one shard's counters into the fleet totals. The epoch/last-reward
-/// fields are per-shard quantities with no meaningful sum and stay zero;
-/// online_snapshot_version carries the fleet-wide max (the headline "newest
-/// model anywhere").
-void AccumulateInto(ServiceStats& totals, const ServiceStats& shard) {
-  totals.requests += shard.requests;
-  totals.errors += shard.errors;
-  totals.exact_fallbacks += shard.exact_fallbacks;
-  totals.selectivities_collected += shard.selectivities_collected;
-  totals.shared_hits += shard.shared_hits;
-  totals.shared_published += shard.shared_published;
-  totals.store_size += shard.store_size;
-  totals.store_evictions += shard.store_evictions;
-  // Fleet-wide histogram error is the sample-weighted mean of the shard
-  // means — each shard's mean already averages over its error_samples.
-  double error_mass = totals.histogram_mean_abs_rel_error *
-                          static_cast<double>(totals.histogram_error_samples) +
-                      shard.histogram_mean_abs_rel_error *
-                          static_cast<double>(shard.histogram_error_samples);
-  totals.histogram_hits += shard.histogram_hits;
-  totals.probe_collections += shard.probe_collections;
-  totals.histogram_error_samples += shard.histogram_error_samples;
-  totals.histogram_demoted_columns += shard.histogram_demoted_columns;
-  totals.histogram_mean_abs_rel_error =
-      totals.histogram_error_samples == 0
-          ? 0.0
-          : error_mass / static_cast<double>(totals.histogram_error_samples);
-  totals.result_cache_hits += shard.result_cache_hits;
-  totals.result_cache_misses += shard.result_cache_misses;
-  totals.result_cache_coalesced += shard.result_cache_coalesced;
-  totals.result_cache_evictions += shard.result_cache_evictions;
-  totals.result_cache_stale_declines += shard.result_cache_stale_declines;
-  totals.result_cache_size += shard.result_cache_size;
-  totals.online_transitions += shard.online_transitions;
-  totals.online_transitions_dropped += shard.online_transitions_dropped;
-  totals.online_transitions_pending += shard.online_transitions_pending;
-  totals.online_retrains += shard.online_retrains;
-  totals.online_rejected += shard.online_rejected;
-  totals.online_snapshot_version =
-      std::max(totals.online_snapshot_version, shard.online_snapshot_version);
-  totals.admission_admitted += shard.admission_admitted;
-  totals.admission_degraded += shard.admission_degraded;
-  totals.admission_shed_deadline += shard.admission_shed_deadline;
-  totals.admission_shed_overload += shard.admission_shed_overload;
-  totals.admission_queue_wait_ms_total += shard.admission_queue_wait_ms_total;
-  totals.serve_wall_ms_total += shard.serve_wall_ms_total;
-}
-
-}  // namespace
 
 MalivaFleet::MalivaFleet(FleetConfig config)
     : config_(std::move(config)),
@@ -203,10 +146,7 @@ void MalivaFleet::AppendTrace(const Shard& shard, const RewriteRequest& request,
 MetricsSnapshot MalivaFleet::SnapshotMetrics() const {
   MetricsSnapshot merged;
   for (const std::shared_ptr<Shard>& shard : router_.List()) {
-    MetricsRegistry* registry = shard->service->metrics_registry();
-    if (registry == nullptr) continue;
-    (void)shard->service->Stats();  // refreshes the plane-size gauges
-    merged.MergeFrom(registry->Snapshot());
+    merged.MergeFrom(shard->service->SnapshotMetrics());
   }
   return merged;
 }
@@ -229,11 +169,9 @@ Status MalivaFleet::RegisterScenario(const std::string& id, Scenario* scenario,
   ServiceConfig shard_config = config_.defaults;
   if (tune) tune(shard_config);
   // Stamp the routing key as the shard's scenario label (after tune, so an
-  // explicit per-shard override wins; before Validate, which rejects a
-  // label without metrics).
-  if (shard_config.metrics && shard_config.metrics_scenario.empty()) {
-    shard_config.metrics_scenario = id;
-  }
+  // explicit per-shard override wins). Distinct labels keep each shard's
+  // series apart in the merged snapshot the fleet's Stats() reads.
+  if (shard_config.metrics_scenario.empty()) shard_config.metrics_scenario = id;
   MALIVA_RETURN_NOT_OK(shard_config.Validate());
 
   auto shard = std::make_shared<Shard>(
@@ -326,12 +264,10 @@ void MalivaFleet::SubmitAdmitted(
   // answered inline; the serve-time EWMA is left untouched (an O(1) replay
   // would talk the degrade predictor into admitting searches it cannot
   // afford).
+  const ServeMetrics& sm = shard->service->serve_metrics();
   if (std::optional<RewriteResponse> cached =
           shard->service->TryServeCached(request)) {
-    admission_->RecordDecision(shard->id, AdmissionDecision::kAdmit);
-    if (const ServeMetrics* sm = shard->service->serve_metrics()) {
-      sm->admission_admitted->Increment();
-    }
+    sm.admission_admitted->Increment();
     AppendTrace(*shard, request, "admitted", &*cached, /*queue_wait_ms=*/0.0);
     done(std::move(*cached));
     return;
@@ -344,12 +280,9 @@ void MalivaFleet::SubmitAdmitted(
       arrival_ms, deadline_ms, scheduler.QueueDepth(), scheduler.workers());
   if (decision == AdmissionDecision::kShedDeadline ||
       decision == AdmissionDecision::kShedOverload) {
-    admission_->RecordDecision(shard->id, decision);
     const bool deadline_shed = decision == AdmissionDecision::kShedDeadline;
-    if (const ServeMetrics* sm = shard->service->serve_metrics()) {
-      (deadline_shed ? sm->admission_shed_deadline : sm->admission_shed_overload)
-          ->Increment();
-    }
+    (deadline_shed ? sm.admission_shed_deadline : sm.admission_shed_overload)
+        ->Increment();
     AppendTrace(*shard, request,
                 deadline_shed ? "shed_deadline" : "shed_overload",
                 /*response=*/nullptr, /*queue_wait_ms=*/0.0);
@@ -371,20 +304,18 @@ void MalivaFleet::SubmitAdmitted(
   job.deadline_ms = deadline_ms;
   job.scenario = shard->id;
   job.run = [this, shard, effective = std::move(effective), arrival_ms,
-             deadline_ms, shard_index, degraded, decision,
+             deadline_ms, shard_index, degraded,
              done = std::move(done)]() mutable {
     const double start_ms = NowMs();
     const double queue_wait_ms = std::max(0.0, start_ms - arrival_ms);
-    admission_->RecordQueueWait(shard->id, queue_wait_ms);
-    const ServeMetrics* sm = shard->service->serve_metrics();
-    if (sm != nullptr) sm->queue_wait->Record(queue_wait_ms);
+    const ServeMetrics& sm = shard->service->serve_metrics();
+    sm.queue_wait->Record(queue_wait_ms);
     if (start_ms >= deadline_ms) {
       // Dispatch-time recheck: the job aged out while queued. EDF makes this
       // the request that was *most* entitled to run, so everything behind it
       // is doomed too unless load lets up — shedding now still beats
       // spending a worker on an answer that already missed its budget.
-      admission_->RecordDecision(shard->id, AdmissionDecision::kShedDeadline);
-      if (sm != nullptr) sm->admission_shed_deadline->Increment();
+      sm.admission_shed_deadline->Increment();
       AppendTrace(*shard, effective, "shed_deadline", /*response=*/nullptr,
                   queue_wait_ms);
       done(AdmissionController::ShedStatus(AdmissionDecision::kShedDeadline,
@@ -394,11 +325,8 @@ void MalivaFleet::SubmitAdmitted(
     }
     Result<RewriteResponse> response =
         shard->service->ServeAt(effective, shard_index);
-    admission_->RecordDecision(shard->id, decision);
     admission_->RecordServeMs(NowMs() - start_ms);
-    if (sm != nullptr) {
-      (degraded ? sm->admission_degraded : sm->admission_admitted)->Increment();
-    }
+    (degraded ? sm.admission_degraded : sm.admission_admitted)->Increment();
     if (response.ok()) {
       response.value().stats.degraded = degraded;
       response.value().stats.queue_wait_ms = queue_wait_ms;
@@ -592,36 +520,33 @@ std::vector<ScenarioInfo> MalivaFleet::ListScenarios() const {
 FleetStats MalivaFleet::Stats() const {
   FleetStats stats;
   stats.routing_errors = routing_errors_.load(std::memory_order_relaxed);
+  // One cut per shard feeds both its row and the merge, so every additive
+  // field of `totals` is exactly the sum of the rows.
+  double error_mass = 0.0;
   for (const std::shared_ptr<Shard>& shard : router_.List()) {
-    ServiceStats shard_stats = shard->service->Stats();
-    if (admission_ != nullptr) {
-      // The gate's verdicts are fleet-side state (a shed request never
-      // reaches the shard); layer them onto the shard's own snapshot here.
-      AdmissionCounters gate = admission_->CountersFor(shard->id);
-      shard_stats.admission_admitted = gate.admitted;
-      shard_stats.admission_degraded = gate.degraded;
-      shard_stats.admission_shed_deadline = gate.shed_deadline;
-      shard_stats.admission_shed_overload = gate.shed_overload;
-      shard_stats.admission_queue_wait_ms_total = gate.queue_wait_ms_total;
-    }
-    // Merge the shard's labeled metric series (the Stats() call above just
-    // refreshed its gauges); scenario labels keep shards distinguishable
-    // after the merge.
-    if (MetricsRegistry* registry = shard->service->metrics_registry()) {
-      stats.metrics.MergeFrom(registry->Snapshot());
-    }
-    AccumulateInto(stats.totals, shard_stats);
-    stats.shards.emplace_back(shard->id, std::move(shard_stats));
+    MetricsSnapshot cut = shard->service->SnapshotMetrics();
+    ServiceStats row = shard->service->StatsFrom(cut);
+    error_mass += row.histogram_mean_abs_rel_error *
+                  static_cast<double>(row.histogram_error_samples);
+    stats.metrics.MergeFrom(cut);
+    stats.shards.emplace_back(shard->id, std::move(row));
   }
   stats.scenarios = stats.shards.size();
+  // The totals are the same view over the merged snapshot. store_epoch and
+  // the last_retrain_* rewards have no fleet-wide meaning and stay zero; the
+  // histogram error is the sample-weighted mean of the shard means.
+  stats.totals = StatsFromMetrics(stats.metrics);
+  if (stats.totals.histogram_error_samples > 0) {
+    stats.totals.histogram_mean_abs_rel_error =
+        error_mass / static_cast<double>(stats.totals.histogram_error_samples);
+  }
   if (admission_ != nullptr) {
     stats.admission.enabled = true;
-    AdmissionCounters totals = admission_->TotalCounters();
-    stats.admission.admitted = totals.admitted;
-    stats.admission.degraded = totals.degraded;
-    stats.admission.shed_deadline = totals.shed_deadline;
-    stats.admission.shed_overload = totals.shed_overload;
-    stats.admission.queue_wait_ms_total = totals.queue_wait_ms_total;
+    stats.admission.admitted = stats.totals.admission_admitted;
+    stats.admission.degraded = stats.totals.admission_degraded;
+    stats.admission.shed_deadline = stats.totals.admission_shed_deadline;
+    stats.admission.shed_overload = stats.totals.admission_shed_overload;
+    stats.admission.queue_wait_ms_total = stats.totals.admission_queue_wait_ms_total;
     stats.admission.queue_depth = Scheduler().QueueDepth();
     stats.admission.estimated_serve_ms = admission_->EstimatedServeMs();
   }

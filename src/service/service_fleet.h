@@ -83,11 +83,11 @@ struct FleetConfig {
   /// admission.degrade_strategy (flagged in RewriteResponse::stats).
   AdmissionConfig admission;
 
-  /// Metrics flusher cadence (DESIGN.md "Observability plane"): with
-  /// defaults.metrics on and this > 0, a background thread snapshots the
-  /// merged per-shard registries every `metrics_flush_ms` and retains a
-  /// bounded ring of time-windowed deltas (the SLO watchdog's input;
-  /// MetricsFlusher::Windows() for operators). 0 (the default) = no thread.
+  /// Metrics flusher cadence (DESIGN.md "Observability plane"): with this
+  /// > 0, a background thread snapshots the merged per-shard registries
+  /// every `metrics_flush_ms` and retains a bounded ring of time-windowed
+  /// deltas (the SLO watchdog's input; MetricsFlusher::Windows() for
+  /// operators). 0 (the default) = no thread.
   size_t metrics_flush_ms = 0;
   /// Trace-event ring capacity. 0 (the default) = no ring is constructed
   /// and every serve path holds a single null check; > 0 = the fleet
@@ -105,9 +105,8 @@ struct FleetConfig {
   /// Rejects fleet-level pathologies (thread-count wrap-arounds), any
   /// defect in `defaults` (ServiceConfig::Validate()), any bad admission
   /// knob (AdmissionConfig::Validate()), and inconsistent observability
-  /// knobs (a flusher without metrics, a watchdog without a flusher or a
-  /// gate); checked once at fleet construction, a failure surfaces from
-  /// every Register/Serve call.
+  /// knobs (a watchdog without a flusher or a gate); checked once at fleet
+  /// construction, a failure surfaces from every Register/Serve call.
   Status Validate() const;
 
   FleetConfig& WithDefaults(ServiceConfig config) {
@@ -166,7 +165,7 @@ struct ScenarioInfo {
   /// when warm-up is disabled); a failure leaves the shard serving lazily
   /// but is surfaced here for operators.
   Status warmup;
-  /// Requests this shard has served (errors included), from its telemetry.
+  /// Requests this shard has served (errors included), from its registry.
   uint64_t requests = 0;
 };
 
@@ -187,7 +186,10 @@ struct FleetAdmissionStats {
   double estimated_serve_ms = 0.0;
 };
 
-/// Fleet-wide counters: per-shard ServiceStats plus cross-shard aggregates.
+/// Fleet-wide counters: per-shard ServiceStats plus cross-shard aggregates,
+/// all views of one accounting plane (StatsFromMetrics): each row reads its
+/// shard's registry, `totals` and `admission` read the merge of the same
+/// cuts.
 struct FleetStats {
   /// Shards currently registered (draining included, evicted excluded).
   size_t scenarios = 0;
@@ -196,7 +198,8 @@ struct FleetStats {
   uint64_t routing_errors = 0;
   /// Counter sums across shards. The epoch/version/last-reward fields are
   /// per-shard quantities with no meaningful sum — `totals` carries the max
-  /// for online_snapshot_version and zero for store_epoch and the
+  /// for online_snapshot_version, the sample-weighted mean for
+  /// histogram_mean_abs_rel_error, and zero for store_epoch and the
   /// last_retrain_* rewards; read the per-shard rows for those.
   ServiceStats totals;
   /// Overload control plane rollup (FleetConfig::admission).
@@ -204,10 +207,9 @@ struct FleetStats {
   /// Per-shard snapshots, ordered by scenario id. With admission on, each
   /// row's admission_* fields carry that scenario's gate outcomes.
   std::vector<std::pair<std::string, ServiceStats>> shards;
-  /// Merged per-shard metric registries (empty while defaults.metrics is
-  /// off): every shard's labeled counters/gauges/histograms in one
-  /// snapshot, scenario label included, renderable via RenderPrometheus()/
-  /// RenderJson().
+  /// Merged per-shard metric registries: every shard's labeled counters/
+  /// gauges/histograms in one snapshot, scenario label included, renderable
+  /// via RenderPrometheus()/RenderJson().
   MetricsSnapshot metrics;
   /// SLO watchdog verdicts over the flusher's newest windows, ordered by
   /// scenario (empty while FleetConfig::slo_watchdog is off).
@@ -343,9 +345,8 @@ class MalivaFleet {
                    const char* verdict, const RewriteResponse* response,
                    double queue_wait_ms) const;
 
-  /// Merged MetricsSnapshot across every registered shard's registry (an
-  /// empty snapshot while defaults.metrics is off) — the flusher's snapshot
-  /// fn and FleetStats::metrics.
+  /// Merged MetricsSnapshot across every registered shard's registry — the
+  /// flusher's snapshot fn.
   MetricsSnapshot SnapshotMetrics() const;
 
   /// FleetConfig::num_threads with 0 resolved to hardware concurrency; the

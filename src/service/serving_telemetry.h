@@ -1,13 +1,15 @@
-// Serving telemetry: fleet-level counters for the cross-request knowledge
-// plane and the serve path.
+// Serving telemetry: what one request reports about itself (RequestStats)
+// and the service-wide view of the metrics plane (ServiceStats).
 //
-// Every Serve/ServeBatch request folds its per-request accounting (shared
-// hits vs local selectivity collections, quality-floor fallbacks, wall-clock
-// latency) into one ServingTelemetry owned by the service; benches and
-// operators read consistent-enough snapshots through MalivaService::Stats().
-// Counters are independent relaxed atomics — cheap on the hot path; a
-// snapshot is not a single atomic cut across counters, which is fine for
-// monitoring (each counter is individually exact).
+// There is one accounting plane. Every MalivaService owns a MetricsRegistry
+// (util/metrics.h), and every serving event — a request served or failed, a
+// selectivity rung used, a cache outcome, an admission verdict, a queue
+// wait — is counted there exactly once, through handles resolved at
+// construction (ServeMetrics). Levels owned by a component (store and cache
+// sizes, online-learning counts) are mirrored into gauges when a snapshot
+// is cut. ServiceStats is then a *view*: StatsFromMetrics reads it from a
+// MetricsSnapshot, a shard's own or a fleet's merge of every shard's, so a
+// fleet total is by construction the sum of its shards.
 //
 // Note the two time axes: everything in RewriteOutcome is deterministic
 // *virtual* time (DESIGN.md "Virtual time"); serve latency here is host
@@ -16,12 +18,11 @@
 #ifndef MALIVA_SERVICE_SERVING_TELEMETRY_H_
 #define MALIVA_SERVICE_SERVING_TELEMETRY_H_
 
-#include <atomic>
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
 
+#include "util/metrics.h"
 #include "util/query_profiler.h"
 
 namespace maliva {
@@ -77,7 +78,9 @@ struct RequestStats {
   std::optional<ProfileBreakdown> profile;
 };
 
-/// One consistent-enough snapshot of the service's serving counters.
+/// One consistent-enough snapshot of the service's serving counters, read
+/// from its metrics registry (StatsFromMetrics). Each field is individually
+/// exact; the whole is not one atomic cut.
 struct ServiceStats {
   uint64_t requests = 0;         ///< Serve calls (batch members included)
   uint64_t errors = 0;           ///< requests answered with a non-OK Status
@@ -135,17 +138,21 @@ struct ServiceStats {
   double last_retrain_reward_post = 0.0; ///< fine-tuned clone's reward
 
   // Overload control plane (identically zero for a standalone MalivaService
-  // and while FleetConfig::admission is off). The fleet-level admission gate
-  // fills these per shard when it snapshots FleetStats — a shard's own
-  // telemetry never sees shed requests, which are refused before reaching
-  // any service.
+  // and while FleetConfig::admission is off). The fleet's gate counts each
+  // verdict and queue wait into the routed shard's registry — shed requests
+  // included, though they never reach the shard's serve path — so these
+  // appear in the shard's own Stats() and in its FleetStats row alike.
   uint64_t admission_admitted = 0;       ///< gate verdicts: served as asked
   uint64_t admission_degraded = 0;       ///< served with the degrade strategy
   uint64_t admission_shed_deadline = 0;  ///< refused: deadline unmakeable
   uint64_t admission_shed_overload = 0;  ///< refused: queue at capacity
-  double admission_queue_wait_ms_total = 0.0;  ///< summed scheduler queue wait
+  /// Summed scheduler queue wait: the maliva_queue_wait_ms histogram sum,
+  /// so each wait is rounded to whole microseconds.
+  double admission_queue_wait_ms_total = 0.0;
 
-  double serve_wall_ms_total = 0.0;  ///< summed host wall-clock serve latency
+  /// Summed host wall-clock serve latency: the maliva_serve_latency_ms
+  /// histogram sum, so each request is rounded to whole microseconds.
+  double serve_wall_ms_total = 0.0;
 
   /// Fraction of needed selectivities that came free from the shared store.
   double SharedHitRatio() const {
@@ -158,77 +165,49 @@ struct ServiceStats {
   }
 };
 
-/// Thread-safe accumulator behind MalivaService::Stats().
-class ServingTelemetry {
- public:
-  /// Wall ms to integer ns for the latency accumulator, rounded to the
-  /// nearest nanosecond and clamped: NaN and negative inputs (a clock that
-  /// stepped backwards must not wrap the counter by ~2^64) account as 0,
-  /// and values beyond the representable range saturate instead of
-  /// overflowing the double->uint64 cast (UB).
-  static uint64_t WallMsToNs(double wall_ms) {
-    if (!(wall_ms > 0.0)) return 0;  // negatives and NaN clamp to zero
-    const double ns = wall_ms * 1e6;
-    if (ns >= 9.2e18) return UINT64_MAX;  // below 2^63, llround stays defined
-    return static_cast<uint64_t>(std::llround(ns));
-  }
+/// The service's serve-path series, resolved from its registry once at
+/// construction so recording is relaxed atomics only — zero registry map
+/// lookups per request (MetricsRegistry::lookups() proves it). The fleet
+/// records the admission handles on the routed shard's behalf.
+struct ServeMetrics {
+  explicit ServeMetrics(MetricsRegistry& registry);
 
-  void RecordServed(uint64_t collected, uint64_t shared_hits, uint64_t published,
-                    uint64_t histogram_hits, uint64_t probes,
-                    bool exact_fallback, double wall_ms) {
-    requests_.fetch_add(1, std::memory_order_relaxed);
-    collected_.fetch_add(collected, std::memory_order_relaxed);
-    shared_hits_.fetch_add(shared_hits, std::memory_order_relaxed);
-    published_.fetch_add(published, std::memory_order_relaxed);
-    histogram_hits_.fetch_add(histogram_hits, std::memory_order_relaxed);
-    probes_.fetch_add(probes, std::memory_order_relaxed);
-    if (exact_fallback) fallbacks_.fetch_add(1, std::memory_order_relaxed);
-    wall_ns_.fetch_add(WallMsToNs(wall_ms), std::memory_order_relaxed);
-  }
+  Counter* requests_ok;        ///< maliva_requests_total{verdict="ok"}
+  Counter* requests_error;     ///< maliva_requests_total{verdict="error"}
+  Counter* exact_fallbacks;    ///< maliva_exact_fallbacks_total
+  Counter* tier_shared;        ///< maliva_selectivity_slots_total{rung="shared"}
+  Counter* tier_histogram;     ///< maliva_selectivity_slots_total{rung="histogram"}
+  Counter* tier_probe;         ///< maliva_selectivity_slots_total{rung="probe"}
+  Counter* shared_published;   ///< maliva_shared_published_total
+  Counter* admission_admitted;       ///< maliva_admission_total{verdict="admitted"}
+  Counter* admission_degraded;       ///< maliva_admission_total{verdict="degraded"}
+  Counter* admission_shed_deadline;  ///< maliva_admission_total{verdict="shed_deadline"}
+  Counter* admission_shed_overload;  ///< maliva_admission_total{verdict="shed_overload"}
+  LatencyHistogram* serve_latency;   ///< maliva_serve_latency_ms
+  LatencyHistogram* queue_wait;      ///< maliva_queue_wait_ms
 
-  /// A request answered from the rewrite-result cache: count the request
-  /// (and its response-level fallback flag), but none of the selectivity
-  /// counters — the cached template describes work the *original* miss did,
-  /// and re-folding it here would double-count the fleet's actual bill.
-  void RecordServedCached(bool exact_fallback, double wall_ms) {
-    requests_.fetch_add(1, std::memory_order_relaxed);
-    if (exact_fallback) fallbacks_.fetch_add(1, std::memory_order_relaxed);
-    wall_ns_.fetch_add(WallMsToNs(wall_ms), std::memory_order_relaxed);
-  }
-
-  void RecordError(double wall_ms) {
-    requests_.fetch_add(1, std::memory_order_relaxed);
-    errors_.fetch_add(1, std::memory_order_relaxed);
-    wall_ns_.fetch_add(WallMsToNs(wall_ms), std::memory_order_relaxed);
-  }
-
-  /// Counter part of the snapshot; the service layers the store fields on top.
-  ServiceStats Snapshot() const {
-    ServiceStats s;
-    s.requests = requests_.load(std::memory_order_relaxed);
-    s.errors = errors_.load(std::memory_order_relaxed);
-    s.exact_fallbacks = fallbacks_.load(std::memory_order_relaxed);
-    s.selectivities_collected = collected_.load(std::memory_order_relaxed);
-    s.shared_hits = shared_hits_.load(std::memory_order_relaxed);
-    s.shared_published = published_.load(std::memory_order_relaxed);
-    s.histogram_hits = histogram_hits_.load(std::memory_order_relaxed);
-    s.probe_collections = probes_.load(std::memory_order_relaxed);
-    s.serve_wall_ms_total =
-        static_cast<double>(wall_ns_.load(std::memory_order_relaxed)) / 1e6;
-    return s;
-  }
-
- private:
-  std::atomic<uint64_t> requests_{0};
-  std::atomic<uint64_t> errors_{0};
-  std::atomic<uint64_t> fallbacks_{0};
-  std::atomic<uint64_t> collected_{0};
-  std::atomic<uint64_t> shared_hits_{0};
-  std::atomic<uint64_t> published_{0};
-  std::atomic<uint64_t> histogram_hits_{0};
-  std::atomic<uint64_t> probes_{0};
-  std::atomic<uint64_t> wall_ns_{0};
+  // Levels owned by a component, mirrored when a snapshot is cut.
+  Gauge* result_cache_entries;       ///< maliva_result_cache_entries
+  Gauge* shared_store_entries;       ///< maliva_shared_store_entries
+  Gauge* shared_store_evictions;     ///< maliva_shared_store_evictions
+  Gauge* histogram_error_samples;    ///< maliva_histogram_error_samples
+  Gauge* histogram_demoted_columns;  ///< maliva_histogram_demoted_columns
+  Gauge* online_recorded;            ///< maliva_online_transitions{state="recorded"}
+  Gauge* online_dropped;             ///< maliva_online_transitions{state="dropped"}
+  Gauge* online_pending;             ///< maliva_online_transitions{state="pending"}
+  Gauge* online_published;           ///< maliva_online_retrains{outcome="published"}
+  Gauge* online_rejected;            ///< maliva_online_retrains{outcome="rejected"}
+  Gauge* agent_snapshot_version;     ///< maliva_agent_snapshot_version
 };
+
+/// The one view of the accounting plane: ServiceStats read from a snapshot
+/// of one shard's registry or of a fleet's merge. Counters, histogram sums
+/// and level gauges add up across series; online_snapshot_version takes the
+/// max. The fields no snapshot can carry — store_epoch,
+/// histogram_mean_abs_rel_error and last_retrain_reward_* — stay zero here:
+/// a service fills them from its components, and a fleet total keeps the
+/// epoch and rewards at zero and weights the error mean by sample count.
+ServiceStats StatsFromMetrics(const MetricsSnapshot& snapshot);
 
 }  // namespace maliva
 

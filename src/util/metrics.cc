@@ -358,6 +358,15 @@ uint64_t MetricsSnapshot::CounterSum(const std::string& name,
   return sum;
 }
 
+int64_t MetricsSnapshot::GaugeSum(const std::string& name,
+                                  const MetricLabels& match) const {
+  int64_t sum = 0;
+  for (const GaugeRow& row : gauges) {
+    if (row.name == name && LabelsContain(row.labels, match)) sum += row.value;
+  }
+  return sum;
+}
+
 std::string MetricsSnapshot::RenderPrometheus() const {
   std::string out;
   out.reserve(1024);

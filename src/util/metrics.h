@@ -146,7 +146,7 @@ class LatencyHistogram {
   uint64_t Count() const { return count_.load(std::memory_order_relaxed); }
 
   /// Consistent-enough cut (each bucket individually exact, not one atomic
-  /// cut across buckets — the monitoring contract of ServingTelemetry).
+  /// cut across buckets — the monitoring contract of every Snapshot()).
   HistogramSnapshot Snapshot() const;
 
   /// Millisecond value to clamped microsecond ticks.
@@ -215,6 +215,11 @@ struct MetricsSnapshot {
   /// Sum of one counter across every series whose labels include all of
   /// `match` (subset match, so a scenario label alone selects all verdicts).
   uint64_t CounterSum(const std::string& name, const MetricLabels& match = {}) const;
+
+  /// Sum of one gauge across every series whose labels include all of
+  /// `match` — per-shard levels (cache size, store evictions) added up over
+  /// a merged fleet snapshot.
+  int64_t GaugeSum(const std::string& name, const MetricLabels& match = {}) const;
 
   /// Prometheus text exposition: counters and gauges as typed samples,
   /// histograms as summaries (quantile series from the buckets plus _sum

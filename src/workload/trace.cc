@@ -144,6 +144,14 @@ Result<Trace> Trace::Deserialize(const std::string& text) {
     ++lineno;
     return true;
   };
+  // Header counts are untrusted: every counted line takes at least two
+  // bytes (one character and its newline), so a count the rest of the text
+  // cannot hold is rejected before it sizes any allocation.
+  auto fits = [&in, &text](size_t count) {
+    const std::streamoff pos = in.tellg();
+    const size_t remaining = pos < 0 ? 0 : text.size() - static_cast<size_t>(pos);
+    return count <= remaining / 2;
+  };
 
   if (!next() || line != "maliva-trace v1") {
     return fail("expected header \"maliva-trace v1\"");
@@ -161,6 +169,7 @@ Result<Trace> Trace::Deserialize(const std::string& text) {
   if (!next() || sscanf(line.c_str(), "streams %zu", &num_streams) != 1) {
     return fail("expected \"streams <n>\"");
   }
+  if (!fits(num_streams)) return fail("stream count exceeds the remaining text");
   t.streams.reserve(num_streams);
   for (size_t i = 0; i < num_streams; ++i) {
     if (!next()) return fail("truncated stream table");
@@ -180,6 +189,7 @@ Result<Trace> Trace::Deserialize(const std::string& text) {
   if (!next() || sscanf(line.c_str(), "records %zu", &num_records) != 1) {
     return fail("expected \"records <n>\"");
   }
+  if (!fits(num_records)) return fail("record count exceeds the remaining text");
   t.records.reserve(num_records);
   for (size_t i = 0; i < num_records; ++i) {
     if (!next()) return fail("truncated record list");

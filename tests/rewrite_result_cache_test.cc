@@ -8,12 +8,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "baselines/baseline.h"
 #include "service/rewrite_result_cache.h"
 #include "service/service.h"
 #include "service/service_fleet.h"
@@ -128,7 +131,12 @@ TEST(ResultCacheUnitTest, FollowerReceivesLeaderValue) {
 
   ASSERT_TRUE(followed.has_value());
   EXPECT_DOUBLE_EQ(followed->outcome.total_ms, 7.0);
-  EXPECT_EQ(cache.Snapshot().coalesced, 1u);
+  RewriteResultCache::Stats stats = cache.Snapshot();
+  EXPECT_EQ(stats.coalesced, 1u);
+  // Outcomes partition the two probed requests: the leader's miss and the
+  // follower's coalesced replay, each counted once.
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits + stats.misses + stats.coalesced, 2u);
 }
 
 TEST(ResultCacheUnitTest, AbortWakesFollowersEmptyAndFreesTheKey) {
@@ -501,6 +509,158 @@ TEST_F(ResultCacheServiceTest, AdmissionGateServesCacheHitsBeforeDeciding) {
   EXPECT_EQ(stats.admission.admitted, 2u);
   EXPECT_EQ(stats.admission.shed_deadline + stats.admission.shed_overload, 0u);
   EXPECT_EQ(stats.totals.result_cache_hits, 1u);
+}
+
+/// Baseline whose search holds while `held` is set, so concurrent identical
+/// misses are forced to enroll as single-flight followers of the held
+/// leader.
+class HeldBaseline : public BaselineRewriter {
+ public:
+  using BaselineRewriter::BaselineRewriter;
+  static inline std::atomic<bool> held{false};
+  static inline std::atomic<int> entered{0};
+
+  RewriteOutcome RewriteForSession(const Query& query, double tau_ms,
+                                   RewriteSession& session) const override {
+    entered.fetch_add(1);
+    while (held.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    return BaselineRewriter::RewriteForSession(query, tau_ms, session);
+  }
+};
+
+TEST_F(ResultCacheServiceTest, FleetTotalsSumShardRowsAndOutcomesPartition) {
+  static const bool registered = RewriterFactory::Global()
+                                     .Register("test/held-baseline",
+                                               [](MalivaService& s)
+                                                   -> Result<std::unique_ptr<Rewriter>> {
+                                                 return std::unique_ptr<Rewriter>(
+                                                     std::make_unique<HeldBaseline>(
+                                                         s.scenario()->engine.get(),
+                                                         s.scenario()->oracle.get(),
+                                                         s.scenario()->config.tau_ms));
+                                               })
+                                     .ok();
+  ASSERT_TRUE(registered);
+
+  AdmissionConfig admission;
+  admission.enabled = true;
+  admission.slack_factor = 1000.0;  // nothing sheds; verdicts are admitted
+  MalivaFleet fleet(FleetConfig()
+                        .WithDefaults(SmallConfig().WithResultCache(true))
+                        .WithNumThreads(4)
+                        .WithWarmupThreads(0)
+                        .WithAdmission(admission));
+  ASSERT_TRUE(fleet.RegisterScenario("a", scenario_, [](ServiceConfig& c) {
+                     c.WithCrossRequestCache(true);
+                   }).ok());
+  ASSERT_TRUE(fleet.RegisterScenario("b", scenario_).ok());
+  for (const char* id : {"a", "b"}) {
+    ASSERT_TRUE(fleet.ServiceFor(id).value()->GetRewriter("test/held-baseline").ok());
+  }
+  auto request = [](const char* shard, size_t query, const char* strategy) {
+    RewriteRequest req = Request(query, strategy);
+    req.scenario = shard;
+    return req;
+  };
+
+  // Forced followers: the leader holds its search until three identical
+  // requests have had ample time to enroll behind it.
+  HeldBaseline::held = true;
+  const RewriteRequest held_req = request("a", 0, "test/held-baseline");
+  std::vector<Result<RewriteResponse>> held_out(4, Status::Internal("unset"));
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] { held_out[0] = fleet.Serve(held_req); });
+  while (HeldBaseline::entered.load() == 0) std::this_thread::yield();
+  for (size_t t = 1; t < held_out.size(); ++t) {
+    threads.emplace_back([&, t] { held_out[t] = fleet.Serve(held_req); });
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  HeldBaseline::held = false;
+  for (std::thread& th : threads) th.join();
+  size_t followers = 0;
+  for (const Result<RewriteResponse>& r : held_out) {
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    followers += r.value().stats.result_cache_coalesced ? 1 : 0;
+  }
+  EXPECT_GT(followers, 0u);
+
+  // A mixed admission batch (misses, gate-path hits, concurrent copies, one
+  // invalid request), then in-batch dedup on one shard's own ServeBatch.
+  std::vector<RewriteRequest> batch;
+  for (size_t i = 0; i < 24; ++i) {
+    batch.push_back(request(i % 3 == 0 ? "b" : "a", i % 5,
+                            i % 4 == 1 ? "naive" : "baseline"));
+  }
+  batch.push_back(request("b", 1, "baseline"));
+  batch.back().quality_floor = 1.5;  // InvalidArgument before any cache probe
+  size_t errors = 0;
+  for (const Result<RewriteResponse>& r : fleet.ServeBatch(batch)) errors += r.ok() ? 0 : 1;
+  EXPECT_EQ(errors, 1u);
+  std::vector<RewriteRequest> dups(6, Request(7, "baseline"));
+  for (const Result<RewriteResponse>& r :
+       fleet.ServiceFor("b").value()->ServeBatch(dups)) {
+    ASSERT_TRUE(r.ok());
+  }
+
+  FleetStats stats = fleet.Stats();
+  ASSERT_EQ(stats.shards.size(), 2u);
+  const std::pair<const char*, uint64_t ServiceStats::*> kAdditive[] = {
+      {"requests", &ServiceStats::requests},
+      {"errors", &ServiceStats::errors},
+      {"exact_fallbacks", &ServiceStats::exact_fallbacks},
+      {"selectivities_collected", &ServiceStats::selectivities_collected},
+      {"shared_hits", &ServiceStats::shared_hits},
+      {"shared_published", &ServiceStats::shared_published},
+      {"store_size", &ServiceStats::store_size},
+      {"store_evictions", &ServiceStats::store_evictions},
+      {"histogram_hits", &ServiceStats::histogram_hits},
+      {"probe_collections", &ServiceStats::probe_collections},
+      {"histogram_error_samples", &ServiceStats::histogram_error_samples},
+      {"histogram_demoted_columns", &ServiceStats::histogram_demoted_columns},
+      {"result_cache_hits", &ServiceStats::result_cache_hits},
+      {"result_cache_misses", &ServiceStats::result_cache_misses},
+      {"result_cache_coalesced", &ServiceStats::result_cache_coalesced},
+      {"result_cache_evictions", &ServiceStats::result_cache_evictions},
+      {"result_cache_stale_declines", &ServiceStats::result_cache_stale_declines},
+      {"result_cache_size", &ServiceStats::result_cache_size},
+      {"online_transitions", &ServiceStats::online_transitions},
+      {"online_transitions_dropped", &ServiceStats::online_transitions_dropped},
+      {"online_transitions_pending", &ServiceStats::online_transitions_pending},
+      {"online_retrains", &ServiceStats::online_retrains},
+      {"online_rejected", &ServiceStats::online_rejected},
+      {"admission_admitted", &ServiceStats::admission_admitted},
+      {"admission_degraded", &ServiceStats::admission_degraded},
+      {"admission_shed_deadline", &ServiceStats::admission_shed_deadline},
+      {"admission_shed_overload", &ServiceStats::admission_shed_overload},
+  };
+  for (const auto& [name, field] : kAdditive) {
+    uint64_t sum = 0;
+    for (const auto& [id, row] : stats.shards) sum += row.*field;
+    EXPECT_EQ(stats.totals.*field, sum) << name;
+  }
+  double wall_sum = 0.0;
+  double wait_sum = 0.0;
+  for (const auto& [id, row] : stats.shards) {
+    wall_sum += row.serve_wall_ms_total;
+    wait_sum += row.admission_queue_wait_ms_total;
+  }
+  EXPECT_DOUBLE_EQ(stats.totals.serve_wall_ms_total, wall_sum);
+  EXPECT_DOUBLE_EQ(stats.totals.admission_queue_wait_ms_total, wait_sum);
+
+  // 4 held + 25 batch + 6 dedup requests; only the invalid one failed.
+  const ServiceStats& t = stats.totals;
+  EXPECT_EQ(t.requests, 35u);
+  EXPECT_EQ(t.errors, 1u);
+  EXPECT_GT(t.shared_published, 0u);
+  EXPECT_GT(t.result_cache_coalesced, 0u);
+  // Every valid request probed the cache once, with exactly one outcome.
+  EXPECT_EQ(t.result_cache_hits + t.result_cache_misses + t.result_cache_coalesced,
+            t.requests - t.errors);
+  // The fleet's admission rollup reads the same counters.
+  EXPECT_EQ(stats.admission.admitted + stats.admission.degraded +
+                stats.admission.shed_deadline + stats.admission.shed_overload,
+            29u);
+  EXPECT_EQ(stats.admission.admitted, t.admission_admitted);
 }
 
 // ---------------------------------------------------- invalidation races ---

@@ -186,24 +186,6 @@ TEST(AdmissionControllerTest, ServeEwmaTracksObservations) {
   EXPECT_DOUBLE_EQ(gate.EstimatedServeMs(), 15.0);
 }
 
-TEST(AdmissionControllerTest, CountersRollUpPerScenarioAndTotal) {
-  AdmissionController gate(AdmissionConfig().WithEnabled(true));
-  gate.RecordDecision("a", AdmissionDecision::kAdmit);
-  gate.RecordDecision("a", AdmissionDecision::kDegrade);
-  gate.RecordDecision("b", AdmissionDecision::kShedDeadline);
-  gate.RecordDecision("b", AdmissionDecision::kShedOverload);
-  gate.RecordQueueWait("a", 2.5);
-  EXPECT_EQ(gate.CountersFor("a").admitted, 1u);
-  EXPECT_EQ(gate.CountersFor("a").degraded, 1u);
-  EXPECT_DOUBLE_EQ(gate.CountersFor("a").queue_wait_ms_total, 2.5);
-  EXPECT_EQ(gate.CountersFor("b").shed_deadline, 1u);
-  EXPECT_EQ(gate.CountersFor("b").shed_overload, 1u);
-  AdmissionCounters totals = gate.TotalCounters();
-  EXPECT_EQ(totals.admitted + totals.degraded + totals.shed_deadline +
-                totals.shed_overload,
-            4u);
-}
-
 TEST(AdmissionControllerTest, SharesResolveWithDefaults) {
   AdmissionConfig config = AdmissionConfig()
                                .WithEnabled(true)

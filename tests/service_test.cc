@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <span>
+#include <vector>
 
 #include "baselines/baseline.h"
 #include "service/service.h"
@@ -274,6 +275,48 @@ TEST_F(ServiceTest, QualityFloorFallsBackToExactPlan) {
   EXPECT_NEAR(resp.value().outcome.total_ms,
               resp.value().outcome.planning_ms + resp.value().outcome.exec_ms,
               1e-9);
+}
+
+TEST_F(ServiceTest, QualityFloorFallbackBillsPlanningPlusExecExactly) {
+  // The fallback's bill is the abandoned attempt's planning plus the exact
+  // plan's planning and execution; total_ms must be that sum bit for bit and
+  // viability must be judged on it. Adding the abandoned planning to both
+  // planning_ms and total_ms separately drifts by an ulp on some requests —
+  // the histogram tier's fractional slot costs make such sums common here.
+  ScenarioConfig cfg;
+  cfg.kind = DatasetKind::kTpch;
+  cfg.num_rows = 30000;
+  cfg.num_queries = 400;
+  cfg.tau_ms = 500.0;
+  cfg.seed = 303;
+  cfg.profile.cardinality_scale = 600.0;
+  cfg.approx_sample_rates = {0.2, 0.4};
+  Scenario tpch = BuildScenario(cfg);
+  // One thread: with the shared store on, the bills depend on serve order.
+  MalivaService service(&tpch, SmallConfig()
+                                   .WithNumThreads(1)
+                                   .WithCrossRequestCache(true)
+                                   .WithHistogramSelectivity(true)
+                                   .WithResultCache(true));
+  std::vector<RewriteRequest> requests;
+  for (size_t i = 0; i < 10 * tpch.evaluation.size(); ++i) {
+    RewriteRequest req;
+    req.query = tpch.evaluation[i % tpch.evaluation.size()];
+    req.strategy = "quality/one-stage";
+    req.quality_floor = 0.95;
+    req.tau_ms = 100.0 + 50.0 * static_cast<double>(i / tpch.evaluation.size());
+    requests.push_back(req);
+  }
+  size_t fallbacks = 0;
+  std::vector<Result<RewriteResponse>> responses = service.ServeBatch(requests);
+  for (size_t i = 0; i < responses.size(); ++i) {
+    ASSERT_TRUE(responses[i].ok()) << responses[i].status().ToString();
+    const RewriteOutcome& out = responses[i].value().outcome;
+    fallbacks += responses[i].value().exact_fallback ? 1 : 0;
+    EXPECT_EQ(out.total_ms, out.planning_ms + out.exec_ms) << "request " << i;
+    EXPECT_EQ(out.viable, out.total_ms <= *requests[i].tau_ms) << "request " << i;
+  }
+  EXPECT_GT(fallbacks, 0u) << "the floor never triggered the fallback";
 }
 
 TEST_F(ServiceTest, ExplicitQteJitterSeedIsHonored) {

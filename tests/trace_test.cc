@@ -8,8 +8,11 @@
 
 #include <cmath>
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 
+#include "util/rng.h"
 #include "workload/arrival.h"
 
 namespace maliva {
@@ -192,6 +195,81 @@ TEST(ReplayTraceTest, DeserializeRejectsGarbage) {
   EXPECT_FALSE(Trace::Deserialize("maliva-trace v1\nname x\nseed 1\n"
                                   "streams 1\nstream - - 0 -1 1 4\n"
                                   "records 2\n0 0 1.0\n").ok());
+}
+
+/// Replaces the first "<key> <n>" header line's count with `count`.
+std::string WithCount(const std::string& text, const std::string& key,
+                      const std::string& count) {
+  const size_t at = text.find("\n" + key + " ");
+  if (at == std::string::npos) return text;
+  const size_t begin = at + key.size() + 2;
+  const size_t end = text.find('\n', begin);
+  return text.substr(0, begin) + count + text.substr(end);
+}
+
+TEST(ReplayTraceTest, DeserializeRejectsUntrustedCounts) {
+  const std::string base =
+      "maliva-trace v1\nname x\nseed 1\nstreams 1\nstream - - 0 -1 1 4\n"
+      "records 1\n0 0 1.0\nend\n";
+  ASSERT_TRUE(Trace::Deserialize(base).ok());
+  for (const char* count : {"-1", "100000000000000", "18446744073709551615"}) {
+    for (const char* key : {"records", "streams"}) {
+      Result<Trace> t = Trace::Deserialize(WithCount(base, key, count));
+      ASSERT_FALSE(t.ok()) << key << " " << count;
+      EXPECT_EQ(t.status().code(), Status::Code::kInvalidArgument);
+    }
+  }
+}
+
+TEST(ReplayTraceTest, DeserializeSurvivesMutatedGoldenText) {
+  // Seeded mutation fuzzing of the one parser of untrusted input: byte
+  // flips, truncations and inflated header counts over the committed golden
+  // trace. Every input must parse to a Validate()-clean trace or fail with
+  // InvalidArgument; an abort (bad_alloc, length_error, UB) fails the run.
+  std::ifstream in(std::string(MALIVA_TEST_DATA_DIR) + "/golden_trace.txt",
+                   std::ios::binary);
+  ASSERT_TRUE(in.good());
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  const std::string golden = buffer.str();
+  ASSERT_TRUE(Trace::Deserialize(golden).ok());
+
+  const char* kCounts[] = {"-1", "0", "2", "47", "49", "4096", "100000000000000",
+                           "18446744073709551615", "99999999999999999999"};
+  Rng rng(20240613);
+  size_t parsed = 0;
+  for (int iter = 0; iter < 4000; ++iter) {
+    std::string text = golden;
+    const int64_t mutations = rng.UniformInt(1, 3);
+    for (int64_t m = 0; m < mutations && !text.empty(); ++m) {
+      const int64_t pos = rng.UniformInt(0, static_cast<int64_t>(text.size()) - 1);
+      switch (rng.UniformInt(0, 3)) {
+        case 0:  // flip one bit
+          text[pos] = static_cast<char>(text[pos] ^ (1 << rng.UniformInt(0, 7)));
+          break;
+        case 1:  // overwrite with a syntax-relevant byte
+          text[pos] = " \n-.0123456789eE+x"[rng.UniformInt(0, 18)];
+          break;
+        case 2:  // truncate
+          text.resize(static_cast<size_t>(pos));
+          break;
+        default:  // inflate (or shrink) a header count
+          text = WithCount(text, rng.Bernoulli(0.5) ? "records" : "streams",
+                           kCounts[rng.UniformInt(0, 8)]);
+      }
+    }
+    Result<Trace> trace = Trace::Deserialize(text);
+    if (trace.ok()) {
+      ++parsed;
+      EXPECT_TRUE(trace.value().Validate().ok()) << "iteration " << iter;
+    } else {
+      EXPECT_EQ(trace.status().code(), Status::Code::kInvalidArgument)
+          << "iteration " << iter << ": " << trace.status().ToString();
+    }
+  }
+  // Some mutations are benign (a flipped arrival digit); the fuzzer must
+  // reach the accept path, not only the reject path.
+  EXPECT_GT(parsed, 0u);
 }
 
 TEST(ReplayTraceTest, RecordInternsStreams) {
