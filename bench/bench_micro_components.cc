@@ -80,7 +80,7 @@ void BM_ExecuteIndexPlan(benchmark::State& state) {
     benchmark::DoNotOptimize(engine->ExecutePlan(q, spec));
   }
 }
-BENCHMARK(BM_ExecuteIndexPlan)->Arg(1)->Arg(3)->Arg(7);
+BENCHMARK(BM_ExecuteIndexPlan)->Arg(0)->Arg(1)->Arg(2)->Arg(3)->Arg(4)->Arg(6)->Arg(7);
 
 void BM_OptimizerResolve(benchmark::State& state) {
   auto engine = std::make_unique<Engine>(EngineProfile::PostgresLike(), 1);

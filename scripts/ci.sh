@@ -186,10 +186,12 @@ EOF
 # All three sanitizer legs run the service + concurrency + fleet + admission
 # suites (which include the SharedSelectivityStore stress test, the shard
 # plane's register/serve/drain stress test, and the overload plane's
-# serve-under-overload stress test) plus the selectivity-ladder suites —
+# serve-under-overload stress test) plus the selectivity-ladder suites, the
+# engine's selection kernel against its reference executor, and the bounded
+# memo (RecentMap, PlanTimeOracle's 4-thread serve/insert test) —
 # training-heavy suites are slow under sanitizers and exercise no additional
 # threading or ownership.
-sanitizer_suites='Service|Concurrency|Fleet|Admission|Histogram|SelectivityTier|ResultCache|Replay|Profiler|Metrics|TraceRing'
+sanitizer_suites='Service|Concurrency|Fleet|Admission|Histogram|SelectivityTier|ResultCache|Replay|Profiler|Metrics|TraceRing|EngineKernel|RecentMap|PlanTimeOracle'
 
 if [[ "$run_tsan" == 1 ]]; then
   # TSan pass over the concurrent serving core: parallel ServeBatch, lazy

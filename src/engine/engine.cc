@@ -4,36 +4,15 @@
 #include <bit>
 #include <cassert>
 #include <cmath>
-#include <functional>
 
 #include "engine/binning.h"
 #include "engine/optimizer.h"
-#include "index/rowset.h"
+#include "engine/selection.h"
 #include "util/rng.h"
-#include "util/string_util.h"
 
 namespace maliva {
 
 namespace {
-
-/// Evaluates one predicate against one row by direct column access.
-bool EvalPredicate(const Table& table, const Predicate& pred, RowId row) {
-  const Column& col = table.GetColumn(pred.column);
-  switch (pred.type) {
-    case PredicateType::kKeyword: {
-      // Token containment; the inverted index is the fast path, this is the
-      // residual-filter path.
-      std::vector<std::string> tokens = Tokenize(col.TextAt(row));
-      return std::find(tokens.begin(), tokens.end(), pred.keyword) != tokens.end();
-    }
-    case PredicateType::kTimeRange:
-    case PredicateType::kNumericRange:
-      return pred.range.Contains(col.NumericAt(row));
-    case PredicateType::kSpatialBox:
-      return pred.box.Contains(col.PointAt(row));
-  }
-  return false;
-}
 
 /// Deterministic 64-bit seed from the execution identity (query, plan).
 uint64_t MixSeed(uint64_t engine_seed, const Query& query, const PlanSpec& spec) {
@@ -49,16 +28,35 @@ uint64_t MixSeed(uint64_t engine_seed, const Query& query, const PlanSpec& spec)
   return h;
 }
 
-}  // namespace
-
-namespace {
-
 EngineProfile PlannerBeliefs(const EngineProfile& profile) {
   EngineProfile p = profile;
   p.heap_fetch_ms *= profile.planner_heap_fetch_factor;
   p.scan_row_ms *= profile.planner_scan_factor;
   p.residual_filter_ms *= profile.planner_residual_factor;
   return p;
+}
+
+/// FailedPrecondition when the index a hint forces for `pred` does not exist.
+Status CheckHintedIndex(const TableEntry& entry, const Predicate& pred) {
+  switch (pred.type) {
+    case PredicateType::kKeyword:
+      if (entry.inverted.count(pred.column) == 0) {
+        return Status::FailedPrecondition("no inverted index on " + pred.column);
+      }
+      break;
+    case PredicateType::kTimeRange:
+    case PredicateType::kNumericRange:
+      if (entry.btrees.count(pred.column) == 0) {
+        return Status::FailedPrecondition("no btree index on " + pred.column);
+      }
+      break;
+    case PredicateType::kSpatialBox:
+      if (entry.rtrees.count(pred.column) == 0) {
+        return Status::FailedPrecondition("no rtree index on " + pred.column);
+      }
+      break;
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -318,120 +316,45 @@ Result<ExecResult> Engine::ExecutePlan(const Query& query, const PlanSpec& spec)
   PlanCards& cards = result.cards;
   cards.heatmap = (query.output == OutputKind::kHeatmap);
 
-  // Per-predicate evaluators. Keyword predicates check membership in the
-  // (sorted) postings list when an inverted index exists — semantically
-  // identical to tokenizing the row, far cheaper for us (the *charged* cost
-  // is governed by the cost model, not by how we compute ground truth).
-  std::vector<std::function<bool(RowId)>> eval;
-  eval.reserve(m);
-  for (const Predicate& p : query.predicates) {
-    if (p.type == PredicateType::kKeyword) {
-      auto it = entry->inverted.find(p.column);
-      if (it != entry->inverted.end()) {
-        const RowIdList* postings = &it->second->Lookup(p.keyword);
-        eval.push_back([postings](RowId row) {
-          return std::binary_search(postings->begin(), postings->end(), row);
-        });
-        continue;
-      }
-    }
-    const Predicate* pred = &p;
-    eval.push_back([&table, pred](RowId row) { return EvalPredicate(table, *pred, row); });
+  // Selection. Every hinted predicate must have its index; the kernel then
+  // computes the same rows and counts a row-at-a-time plan would touch (see
+  // engine/selection.h for the exactness contract).
+  const uint32_t mask = effective.index_mask;
+  std::vector<size_t> hinted;
+  for (size_t i = 0; i < m; ++i) {
+    if (((mask >> i) & 1u) == 0) continue;
+    MALIVA_RETURN_NOT_OK(CheckHintedIndex(*entry, query.predicates[i]));
+    hinted.push_back(i);
   }
+  const Conjunction conj(*entry, query.predicates, mask, KeywordMatch::kIndexed);
 
+  // Rows come out in increasing order, so a LIMIT keeps the same prefix a
+  // row-order walk would. A mask whose bits name no predicate has no
+  // candidates.
   std::vector<RowId> matched;
-  uint32_t mask = effective.index_mask;
+  if (mask == 0 || !hinted.empty()) matched = conj.Select();
+  const bool truncated = matched.size() >= limit_actual;
+  if (truncated) matched.resize(limit_actual);
 
   if (mask == 0) {
-    // Full scan; evaluate cheap (non-keyword) predicates first.
-    std::vector<size_t> order;
-    for (size_t i = 0; i < m; ++i) {
-      if (query.predicates[i].type != PredicateType::kKeyword) order.push_back(i);
-    }
-    for (size_t i = 0; i < m; ++i) {
-      if (query.predicates[i].type == PredicateType::kKeyword) order.push_back(i);
-    }
-    size_t scanned = 0;
-    for (RowId row = 0; row < n; ++row) {
-      ++scanned;
-      bool ok = true;
-      for (size_t i : order) {
-        if (!eval[i](row)) {
-          ok = false;
-          break;
-        }
-      }
-      if (ok) {
-        matched.push_back(row);
-        if (matched.size() >= limit_actual) break;
-      }
-    }
+    // Full scan: the walk stops at the row that reached the LIMIT.
+    size_t scanned = truncated ? static_cast<size_t>(matched.back()) + 1 : n;
     cards.scanned_rows = static_cast<double>(scanned) * scale;
     cards.scan_preds = static_cast<double>(m);
   } else {
-    // Index path: fetch postings for hinted predicates, intersect, then
-    // residual-filter the survivors.
-    std::vector<RowIdList> lists;
-    for (size_t i = 0; i < m; ++i) {
-      if (((mask >> i) & 1u) == 0) continue;
-      const Predicate& p = query.predicates[i];
-      RowIdList list;
-      switch (p.type) {
-        case PredicateType::kKeyword: {
-          auto it = entry->inverted.find(p.column);
-          if (it == entry->inverted.end()) {
-            return Status::FailedPrecondition("no inverted index on " + p.column);
-          }
-          list = it->second->Lookup(p.keyword);
-          break;
-        }
-        case PredicateType::kTimeRange:
-        case PredicateType::kNumericRange: {
-          auto it = entry->btrees.find(p.column);
-          if (it == entry->btrees.end()) {
-            return Status::FailedPrecondition("no btree index on " + p.column);
-          }
-          list = it->second->RangeScan(p.range.lo, p.range.hi);
-          break;
-        }
-        case PredicateType::kSpatialBox: {
-          auto it = entry->rtrees.find(p.column);
-          if (it == entry->rtrees.end()) {
-            return Status::FailedPrecondition("no rtree index on " + p.column);
-          }
-          list = it->second->Query(p.box);
-          break;
-        }
-      }
-      cards.postings.push_back(static_cast<double>(list.size()) * scale);
-      lists.push_back(std::move(list));
+    // Index path: the candidates are the rows every hinted index returns,
+    // residual-filtered in row order up to the row that reached the LIMIT.
+    for (size_t i : hinted) {
+      cards.postings.push_back(static_cast<double>(conj.IndexCount(i)) * scale);
     }
-
-    std::vector<const RowIdList*> list_ptrs;
-    list_ptrs.reserve(lists.size());
-    for (const RowIdList& l : lists) list_ptrs.push_back(&l);
-    RowIdList candidates = IntersectAll(list_ptrs);
-
     size_t residual = m - static_cast<size_t>(std::popcount(mask));
     cards.residual_preds = static_cast<double>(residual);
-
     size_t processed = 0;
-    for (RowId row : candidates) {
-      ++processed;
-      bool ok = true;
-      if (residual > 0) {
-        for (size_t i = 0; i < m; ++i) {
-          if ((mask >> i) & 1u) continue;
-          if (!eval[i](row)) {
-            ok = false;
-            break;
-          }
-        }
-      }
-      if (ok) {
-        matched.push_back(row);
-        if (matched.size() >= limit_actual) break;
-      }
+    if (hinted.size() == m) {
+      processed = matched.size();  // every candidate is a match
+    } else if (!hinted.empty()) {
+      processed = conj.Count(hinted, truncated ? matched.back()
+                                               : std::numeric_limits<RowId>::max());
     }
     cards.candidates = static_cast<double>(processed) * scale;
   }
@@ -452,37 +375,14 @@ Result<ExecResult> Engine::ExecutePlan(const Query& query, const PlanSpec& spec)
     const Column& fk_col = table.GetColumn(js.left_key);
     std::vector<RowId> joined;
 
-    auto right_row_passes = [&](RowId rrow) {
-      for (const Predicate& p : js.right_predicates) {
-        if (!EvalPredicate(rtable, p, rrow)) return false;
-      }
-      return true;
-    };
-
-    // Pre-filter the right side for hash/merge via the B+ tree on the first
-    // right predicate (residual-check the rest).
+    // Right-side filters use row semantics: keywords match tokens exactly as
+    // written. Hash and merge joins pre-filter the right side; a lone range
+    // predicate there is answered straight from its B+ tree, so a NaN bound
+    // keeps the index's meaning.
     auto filtered_right = [&]() -> RowIdList {
-      RowIdList rows;
-      if (!js.right_predicates.empty()) {
-        const Predicate& p0 = js.right_predicates[0];
-        auto it = right->btrees.find(p0.column);
-        if (it != right->btrees.end() && p0.type != PredicateType::kKeyword &&
-            p0.type != PredicateType::kSpatialBox) {
-          rows = it->second->RangeScan(p0.range.lo, p0.range.hi);
-          if (js.right_predicates.size() > 1) {
-            RowIdList kept;
-            for (RowId r : rows) {
-              if (right_row_passes(r)) kept.push_back(r);
-            }
-            rows = std::move(kept);
-          }
-          return rows;
-        }
-      }
-      for (RowId r = 0; r < rtable.NumRows(); ++r) {
-        if (right_row_passes(r)) rows.push_back(r);
-      }
-      return rows;
+      uint32_t index_rows = js.right_predicates.size() == 1 ? 1u : 0u;
+      return Conjunction(*right, js.right_predicates, index_rows, KeywordMatch::kTokens)
+          .Select();
     };
 
     switch (effective.join_method) {
@@ -492,10 +392,12 @@ Result<ExecResult> Engine::ExecutePlan(const Query& query, const PlanSpec& spec)
           return Status::FailedPrecondition("no hash index on " + js.right_key);
         }
         cards.nl_outer = static_cast<double>(matched.size()) * scale;
+        const Conjunction right_filter(*right, js.right_predicates, 0,
+                                       KeywordMatch::kTokens);
         for (RowId row : matched) {
           int64_t key = fk_col.Int64At(row);
           for (RowId rrow : it->second->Lookup(key)) {
-            if (right_row_passes(rrow)) {
+            if (right_filter.AcceptsAll(rrow)) {
               joined.push_back(row);
               break;
             }

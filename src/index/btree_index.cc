@@ -38,11 +38,15 @@ size_t BTreeIndex::RangeCount(double lo, double hi) const {
   return last - first;
 }
 
-RowIdList BTreeIndex::RangeScan(double lo, double hi) const {
+std::span<const RowId> BTreeIndex::RangeRows(double lo, double hi) const {
   if (hi < lo) return {};
   auto [first, last] = EqualRange(lo, hi);
-  RowIdList out(rows_.begin() + static_cast<ptrdiff_t>(first),
-                rows_.begin() + static_cast<ptrdiff_t>(last));
+  return std::span<const RowId>(rows_).subspan(first, last - first);
+}
+
+RowIdList BTreeIndex::RangeScan(double lo, double hi) const {
+  std::span<const RowId> rows = RangeRows(lo, hi);
+  RowIdList out(rows.begin(), rows.end());
   std::sort(out.begin(), out.end());
   return out;
 }

@@ -7,6 +7,7 @@
 #ifndef MALIVA_INDEX_BTREE_INDEX_H_
 #define MALIVA_INDEX_BTREE_INDEX_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -29,6 +30,10 @@ class BTreeIndex {
 
   /// Sorted row ids with key in [lo, hi] (inclusive).
   RowIdList RangeScan(double lo, double hi) const;
+
+  /// The same rows as RangeScan in key order (not row order), as a view into
+  /// the index: no copy and no sort. Valid for the index lifetime.
+  std::span<const RowId> RangeRows(double lo, double hi) const;
 
   /// Smallest / largest key present (0 when empty).
   double MinKey() const { return keys_.empty() ? 0.0 : keys_.front(); }

@@ -19,6 +19,8 @@ InvertedIndex::InvertedIndex(const Table& table, const std::string& column)
     }
   }
   // Rows are visited in increasing order, so each postings list is sorted.
+  // Drop the growth slack: the index is immutable from here on.
+  for (auto& [token, rows] : postings_) rows.shrink_to_fit();
 }
 
 const RowIdList& InvertedIndex::Lookup(const std::string& keyword) const {

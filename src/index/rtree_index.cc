@@ -34,6 +34,7 @@ RTreeIndex::RTreeIndex(const Table& table, const std::string& column) : column_(
   for (size_t i = 0; i < n; ++i) {
     points_[i] = pts[order[i]];
     entry_rows_[i] = static_cast<RowId>(order[i]);
+    if (std::isnan(points_[i].lon) || std::isnan(points_[i].lat)) finite_ = false;
   }
 
   if (n == 0) {
@@ -49,6 +50,7 @@ RTreeIndex::RTreeIndex(const Table& table, const std::string& column) : column_(
     leaf.leaf = true;
     leaf.first = i;
     leaf.last = std::min(n, i + kFanout);
+    leaf.points = leaf.last - leaf.first;
     leaf.box = BoundingBox{points_[i].lon, points_[i].lat, points_[i].lon, points_[i].lat};
     for (size_t j = leaf.first; j < leaf.last; ++j) leaf.box = leaf.box.Extend(points_[j]);
     nodes_.push_back(leaf);
@@ -66,6 +68,7 @@ RTreeIndex::RTreeIndex(const Table& table, const std::string& column) : column_(
       inner.box = nodes_[inner.first].box;
       for (size_t j = inner.first; j < inner.last; ++j) {
         inner.box = inner.box.Union(nodes_[j].box);
+        inner.points += nodes_[j].points;
       }
       nodes_.push_back(inner);
     }
@@ -75,34 +78,31 @@ RTreeIndex::RTreeIndex(const Table& table, const std::string& column) : column_(
   }
 }
 
-template <typename Visit>
-void RTreeIndex::Traverse(const BoundingBox& box, size_t node_idx, Visit&& visit) const {
-  const Node& node = nodes_[node_idx];
-  if (!box.Intersects(node.box)) return;
-  if (node.leaf) {
-    for (size_t i = node.first; i < node.last; ++i) {
-      if (box.Contains(points_[i])) visit(entry_rows_[i]);
-    }
-    return;
-  }
-  for (size_t c = node.first; c < node.last; ++c) {
-    Traverse(box, c, visit);
-  }
-}
-
 RowIdList RTreeIndex::Query(const BoundingBox& box) const {
   RowIdList out;
-  if (points_.empty()) return out;
-  Traverse(box, nodes_.size() - 1, [&](RowId r) { out.push_back(r); });
+  ForEach(box, [&](RowId r) { out.push_back(r); });
   std::sort(out.begin(), out.end());
   return out;
 }
 
-size_t RTreeIndex::Count(const BoundingBox& box) const {
+size_t RTreeIndex::CountUnder(const BoundingBox& box, size_t node_idx) const {
+  const Node& node = nodes_[node_idx];
+  if (!box.Intersects(node.box)) return 0;
+  if (finite_ && box.min_lon <= node.box.min_lon && node.box.max_lon <= box.max_lon &&
+      box.min_lat <= node.box.min_lat && node.box.max_lat <= box.max_lat) {
+    return node.points;
+  }
   size_t count = 0;
-  if (points_.empty()) return count;
-  Traverse(box, nodes_.size() - 1, [&](RowId) { ++count; });
+  if (node.leaf) {
+    for (size_t i = node.first; i < node.last; ++i) count += box.Contains(points_[i]) ? 1 : 0;
+    return count;
+  }
+  for (size_t c = node.first; c < node.last; ++c) count += CountUnder(box, c);
   return count;
+}
+
+size_t RTreeIndex::Count(const BoundingBox& box) const {
+  return points_.empty() ? 0 : CountUnder(box, nodes_.size() - 1);
 }
 
 }  // namespace maliva

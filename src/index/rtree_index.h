@@ -26,8 +26,16 @@ class RTreeIndex {
   /// Sorted row ids whose point lies inside `box` (inclusive).
   RowIdList Query(const BoundingBox& box) const;
 
-  /// Number of matching rows (same traversal, no materialization of misses).
+  /// Number of matching rows. Subtrees whose box lies inside `box` are
+  /// counted whole, so only the boundary leaves are tested point by point.
   size_t Count(const BoundingBox& box) const;
+
+  /// Calls `visit(row)` for every row whose point lies inside `box`, in tree
+  /// order (not row order): the rows of Query without the sort.
+  template <typename Visit>
+  void ForEach(const BoundingBox& box, Visit&& visit) const {
+    if (!points_.empty()) Traverse(box, nodes_.size() - 1, visit);
+  }
 
   /// Bounding box of all indexed points.
   BoundingBox Bounds() const { return nodes_.empty() ? BoundingBox{} : nodes_.back().box; }
@@ -43,16 +51,32 @@ class RTreeIndex {
     size_t first = 0;
     size_t last = 0;
     bool leaf = true;
+    size_t points = 0;  // entries under the node
   };
 
+  size_t CountUnder(const BoundingBox& box, size_t node_idx) const;
+
   template <typename Visit>
-  void Traverse(const BoundingBox& box, size_t node_idx, Visit&& visit) const;
+  void Traverse(const BoundingBox& box, size_t node_idx, Visit& visit) const {
+    const Node& node = nodes_[node_idx];
+    if (!box.Intersects(node.box)) return;
+    if (node.leaf) {
+      for (size_t i = node.first; i < node.last; ++i) {
+        if (box.Contains(points_[i])) visit(entry_rows_[i]);
+      }
+      return;
+    }
+    for (size_t c = node.first; c < node.last; ++c) Traverse(box, c, visit);
+  }
 
   std::string column_;
   std::vector<GeoPoint> points_;   // copy of indexed points, by entry slot
   std::vector<RowId> entry_rows_;  // row id per entry slot
   std::vector<Node> nodes_;        // packed bottom-up; root is nodes_.back()
   size_t height_ = 0;
+  /// No coordinate is NaN, so every point lies inside its node's box (a NaN
+  /// point is in no box, and Count must then test each point).
+  bool finite_ = true;
 };
 
 }  // namespace maliva

@@ -22,17 +22,19 @@ double PlanTimeOracle::TrueTimeMs(const Query& query, const RewriteOption& optio
   uint64_t key = Key(query, option);
   {
     std::shared_lock<std::shared_mutex> lock(mutex_);
-    auto it = cache_.find(key);
-    if (it != cache_.end()) return it->second;
+    if (const double* ms = memo_.Find(key)) return *ms;
   }
   // Execute outside the lock: deterministic, so a concurrent duplicate
-  // computes the same value and emplace keeps whichever landed first.
+  // computes the same value and the insert keeps whichever landed first.
   RewrittenQuery rq{&query, option};
   Result<ExecResult> result = engine_->Execute(rq);
   assert(result.ok());
   double ms = result.value().exec_ms;
   std::unique_lock<std::shared_mutex> lock(mutex_);
-  cache_.emplace(key, ms);
+  if (memo_.Find(key) == nullptr) {
+    memo_.Insert(key, ms);
+    ++executions_;
+  }
   return ms;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <mutex>
+#include <utility>
 
 namespace maliva {
 
@@ -10,7 +11,9 @@ SharedSelectivityStore::SharedSelectivityStore(const Config& config)
   size_t shards = std::clamp<size_t>(config.shards, 1, capacity_);
   per_shard_capacity_ = (capacity_ + shards - 1) / shards;
   shards_.reserve(shards);
-  for (size_t i = 0; i < shards; ++i) shards_.push_back(std::make_unique<Shard>());
+  for (size_t i = 0; i < shards; ++i) {
+    shards_.push_back(std::make_unique<Shard>(per_shard_capacity_));
+  }
 }
 
 SharedSelectivityStore::Shard& SharedSelectivityStore::ShardFor(uint64_t key) const {
@@ -23,9 +26,9 @@ std::optional<double> SharedSelectivityStore::Lookup(uint64_t key,
                                                      uint64_t epoch) const {
   const Shard& shard = ShardFor(key);
   std::shared_lock<std::shared_mutex> lock(shard.mutex);
-  auto it = shard.entries.find(key);
-  if (it == shard.entries.end() || it->second.epoch != epoch) return std::nullopt;
-  return it->second.selectivity;
+  const Entry* entry = shard.entries.Find(key);
+  if (entry == nullptr || entry->epoch != epoch) return std::nullopt;
+  return entry->selectivity;
 }
 
 bool SharedSelectivityStore::Publish(uint64_t key, uint64_t epoch,
@@ -37,27 +40,22 @@ bool SharedSelectivityStore::Publish(uint64_t key, uint64_t epoch,
     // the no-op under the shared side of the lock so publishers of known
     // keys never serialize.
     std::shared_lock<std::shared_mutex> lock(shard.mutex);
-    auto it = shard.entries.find(key);
-    if (it != shard.entries.end() && it->second.epoch >= epoch) return false;
+    const Entry* entry = std::as_const(shard.entries).Find(key);
+    if (entry != nullptr && entry->epoch >= epoch) return false;
   }
   std::unique_lock<std::shared_mutex> lock(shard.mutex);
-  auto it = shard.entries.find(key);
-  if (it != shard.entries.end()) {
+  if (Entry* entry = shard.entries.Find(key)) {
     // First writer wins within an epoch, and epochs only move forward: a
     // stale-epoch entry is refreshed in place (keeping its FIFO position —
     // residency age, not value age), while a laggard publisher from an older
     // epoch must not clobber newer knowledge.
-    if (it->second.epoch >= epoch) return false;
-    it->second = Entry{epoch, selectivity};
+    if (entry->epoch >= epoch) return false;
+    *entry = Entry{epoch, selectivity};
     return true;
   }
-  while (shard.entries.size() >= per_shard_capacity_ && !shard.fifo.empty()) {
-    shard.entries.erase(shard.fifo.front());
-    shard.fifo.pop_front();
+  if (shard.entries.Insert(key, Entry{epoch, selectivity})) {
     evictions_.fetch_add(1, std::memory_order_relaxed);
   }
-  shard.entries.emplace(key, Entry{epoch, selectivity});
-  shard.fifo.push_back(key);
   return true;
 }
 
@@ -73,8 +71,7 @@ size_t SharedSelectivityStore::Size() const {
 void SharedSelectivityStore::Clear() {
   for (std::unique_ptr<Shard>& shard : shards_) {
     std::unique_lock<std::shared_mutex> lock(shard->mutex);
-    shard->entries.clear();
-    shard->fifo.clear();
+    shard->entries.Clear();
   }
 }
 

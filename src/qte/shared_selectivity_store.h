@@ -7,8 +7,8 @@
 // match — dashboard refreshes, pan/zoom neighbours within a literal bin —
 // read each other's collected selectivities.
 //
-// Concurrency: the key space is sharded; each shard holds an
-// unordered_map behind its own std::shared_mutex, so readers on the hot
+// Concurrency: the key space is sharded; each shard holds a RecentMap
+// (util/recent_map.h) behind its own std::shared_mutex, so readers on the hot
 // serve path take a shared lock on one shard only and publishers contend
 // per shard, not globally.
 //
@@ -36,12 +36,12 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <shared_mutex>
-#include <unordered_map>
 #include <vector>
+
+#include "util/recent_map.h"
 
 namespace maliva {
 
@@ -93,11 +93,11 @@ class SharedSelectivityStore {
     double selectivity = 0.0;
   };
 
-  /// One lock domain: a map plus the FIFO insertion order used for eviction.
+  /// One lock domain: a map that evicts its oldest insertion at capacity.
   struct Shard {
+    explicit Shard(size_t capacity) : entries(capacity) {}
     mutable std::shared_mutex mutex;
-    std::unordered_map<uint64_t, Entry> entries;
-    std::deque<uint64_t> fifo;
+    RecentMap<Entry> entries;
   };
 
   Shard& ShardFor(uint64_t key) const;

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <thread>
+
 #include "qte/accurate_qte.h"
 #include "qte/sampling_qte.h"
 #include "test_helpers.h"
@@ -164,6 +167,94 @@ TEST(PlanTimeOracleTest, DistinguishesApproxOptions) {
   sampled.approx = {ApproxKind::kSampleTable, 0.2};
   EXPECT_GT(oracle.TrueTimeMs(q, exact), oracle.TrueTimeMs(q, sampled));
   EXPECT_EQ(oracle.CacheSize(), 2u);
+}
+
+TEST(RecentMapTest, KeepsTheMostRecentKeys) {
+  // A capacity that is not a power of two, so the ring wraps mid-index.
+  const uint64_t cap = 1000;
+  RecentMap<double> map(cap);
+  const uint64_t total = 3 * cap + 17;
+  size_t evictions = 0;
+  for (uint64_t k = 1; k <= total; ++k) {
+    evictions += map.Insert(k * 7919, static_cast<double>(k)) ? 1 : 0;
+  }
+  EXPECT_EQ(map.size(), cap);
+  EXPECT_EQ(evictions, total - cap);
+  for (uint64_t k = 1; k <= total; ++k) {
+    const double* v = map.Find(k * 7919);
+    if (k <= total - cap) {
+      EXPECT_EQ(v, nullptr) << k;
+    } else {
+      ASSERT_NE(v, nullptr) << k;
+      EXPECT_EQ(*v, static_cast<double>(k));
+    }
+  }
+  *map.Find(total * 7919) = -1.0;  // values update in place
+  EXPECT_EQ(*map.Find(total * 7919), -1.0);
+  map.Clear();
+  EXPECT_EQ(map.size(), 0u);
+  EXPECT_EQ(map.Find(total * 7919), nullptr);
+  EXPECT_FALSE(map.Insert(5, 0.5));
+  EXPECT_EQ(*map.Find(5), 0.5);
+}
+
+TEST(PlanTimeOracleMemoTest, StreamPastTheCapStaysExactAndCounted) {
+  auto engine = SmallEngine(300, 5);
+  PlanTimeOracle oracle(engine.get());
+  Query q = SmallQuery(0, "w1", 0, 9999, {0, 0, 100, 50});
+  RewriteOption ro;
+  ro.hints.index_mask = 1;
+  const uint64_t total = PlanTimeOracle::kMemoEntries + 500;
+  q.id = 1;
+  const double first = oracle.TrueTimeMs(q, ro);
+  for (uint64_t id = 2; id <= total; ++id) {
+    q.id = id;
+    oracle.TrueTimeMs(q, ro);
+  }
+  EXPECT_EQ(oracle.CacheSize(), total);
+
+  // A recent key is served from the memo: no execution is counted.
+  q.id = total - 3;
+  oracle.TrueTimeMs(q, ro);
+  EXPECT_EQ(oracle.CacheSize(), total);
+
+  // The oldest key was evicted: it executes again, to the same bits.
+  q.id = 1;
+  const double again = oracle.TrueTimeMs(q, ro);
+  EXPECT_EQ(std::bit_cast<uint64_t>(again), std::bit_cast<uint64_t>(first));
+  EXPECT_EQ(oracle.CacheSize(), total + 1);
+}
+
+TEST(PlanTimeOracleMemoTest, ConcurrentServeAndInsert) {
+  // Four threads read a shared hot set while each inserts its own stream,
+  // together past the cap, so lookups race with inserts and evictions.
+  auto engine = SmallEngine(300, 5);
+  PlanTimeOracle oracle(engine.get());
+  RewriteOption ro;
+  ro.hints.index_mask = 3;
+  auto query = [](uint64_t id) { return SmallQuery(id, "w1", 0, 9999, {0, 0, 100, 50}); };
+  std::vector<double> hot;
+  for (uint64_t id = 1; id <= 64; ++id) {
+    Query q = query(id);
+    hot.push_back(engine->Execute(RewrittenQuery{&q, ro}).value().exec_ms);
+  }
+  const uint64_t per_thread = PlanTimeOracle::kMemoEntries / 3;
+  std::vector<std::thread> threads;
+  std::vector<int> mismatches(4, 0);
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (uint64_t i = 0; i < per_thread; ++i) {
+        Query own = query(1000 + static_cast<uint64_t>(t) * per_thread + i);
+        oracle.TrueTimeMs(own, ro);
+        uint64_t h = 1 + (i * 13 + static_cast<uint64_t>(t)) % 64;
+        if (oracle.TrueTimeMs(query(h), ro) != hot[h - 1]) ++mismatches[t];
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < 4; ++t) EXPECT_EQ(mismatches[t], 0) << t;
+  // Every distinct key was stored at least once.
+  EXPECT_GE(oracle.CacheSize(), 4 * per_thread + 64);
 }
 
 }  // namespace
