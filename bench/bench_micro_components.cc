@@ -29,7 +29,10 @@ void BM_BTreeRangeScan(benchmark::State& state) {
   double lo = idx.MinKey();
   double span = (idx.MaxKey() - idx.MinKey()) / static_cast<double>(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(idx.RangeScan(lo, lo + span));
+    // Walk the zero-copy key-order view, as the selection kernel does.
+    uint64_t sum = 0;
+    for (RowId row : idx.RangeRows(lo, lo + span)) sum += row;
+    benchmark::DoNotOptimize(sum);
   }
   state.SetLabel("1/" + std::to_string(state.range(0)) + " of key space");
 }
@@ -44,7 +47,9 @@ void BM_RTreeBoxQuery(benchmark::State& state) {
                   all.min_lon + all.Width() * frac,
                   all.min_lat + all.Height() * frac};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(idx.Query(box));
+    uint64_t sum = 0;
+    idx.ForEach(box, [&sum](RowId row) { sum += row; });
+    benchmark::DoNotOptimize(sum);
   }
 }
 BENCHMARK(BM_RTreeBoxQuery)->Arg(4)->Arg(16)->Arg(64);

@@ -212,7 +212,7 @@ int Run(const TierOptions& opts) {
   PrintBanner("Phase 2 — histogram accuracy vs TrueSelectivity");
   double mean_abs_rel_error = 0.0;
   size_t error_samples = 0;
-  const double kErrorThreshold = ServiceConfig().max_histogram_rel_error;
+  const double kErrorThreshold = SelectivityTierConfig{}.max_rel_error;
   {
     Scenario scenario = BuildColdScenario(kRows, kQueries, kSeed);
     const Engine& engine = *scenario.engine;

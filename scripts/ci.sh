@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 verification sequence: docs check, configure, build, test.
+# Tier-1 verification sequence: docs check, configure, build, test, then
+# the benchmark's own build and tests (build-perfbench/).
 #
 # The service layer (src/service/) is held to -Wall -Wextra with warnings
 # treated as errors; the rest of the tree builds with default flags.
@@ -85,6 +86,15 @@ fi
 cmake -B build -S . -DMALIVA_SERVICE_WERROR=ON
 cmake --build build -j"$(nproc)"
 ctest --test-dir build --output-on-failure -j"$(nproc)"
+
+# Benchmark build leg: perfbench is its own CMake package compiled against
+# the library's public API, and its tests include the exact-repeat guard
+# against perfbench/tests/guard_golden.txt. A library change that would
+# break the benchmark's build or move its decisions fails here first.
+echo "== perfbench build + tests =="
+cmake -S perfbench -B build-perfbench
+cmake --build build-perfbench -j"$(nproc)"
+ctest --test-dir build-perfbench --output-on-failure -j"$(nproc)"
 
 # One bench smoke leg: run `./build/<bench> --smoke --out build/<json>` (the
 # binary's own acceptance checks gate the exit code), then validate the

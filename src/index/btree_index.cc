@@ -44,11 +44,4 @@ std::span<const RowId> BTreeIndex::RangeRows(double lo, double hi) const {
   return std::span<const RowId>(rows_).subspan(first, last - first);
 }
 
-RowIdList BTreeIndex::RangeScan(double lo, double hi) const {
-  std::span<const RowId> rows = RangeRows(lo, hi);
-  RowIdList out(rows.begin(), rows.end());
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 }  // namespace maliva

@@ -28,11 +28,9 @@ class BTreeIndex {
   /// Number of rows with key in [lo, hi] (inclusive).
   size_t RangeCount(double lo, double hi) const;
 
-  /// Sorted row ids with key in [lo, hi] (inclusive).
-  RowIdList RangeScan(double lo, double hi) const;
-
-  /// The same rows as RangeScan in key order (not row order), as a view into
-  /// the index: no copy and no sort. Valid for the index lifetime.
+  /// Row ids with key in [lo, hi] (inclusive) in key order (not row
+  /// order), as a view into the index: no copy and no sort. Valid for the
+  /// index lifetime.
   std::span<const RowId> RangeRows(double lo, double hi) const;
 
   /// Smallest / largest key present (0 when empty).

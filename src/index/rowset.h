@@ -1,4 +1,4 @@
-// Sorted row-id set operations used by index-intersection plans.
+// Row-id lists returned by the indexes.
 
 #ifndef MALIVA_INDEX_ROWSET_H_
 #define MALIVA_INDEX_ROWSET_H_
@@ -11,19 +11,6 @@ namespace maliva {
 
 /// Sorted, duplicate-free list of row ids.
 using RowIdList = std::vector<RowId>;
-
-/// True when `rows` is strictly increasing.
-bool IsSortedUnique(const RowIdList& rows);
-
-/// Intersection of two sorted lists.
-RowIdList IntersectSorted(const RowIdList& a, const RowIdList& b);
-
-/// Intersection of k sorted lists (smallest first for efficiency).
-/// Returns an empty list when `lists` is empty.
-RowIdList IntersectAll(std::vector<const RowIdList*> lists);
-
-/// Union of two sorted lists.
-RowIdList UnionSorted(const RowIdList& a, const RowIdList& b);
 
 }  // namespace maliva
 

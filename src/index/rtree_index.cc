@@ -78,13 +78,6 @@ RTreeIndex::RTreeIndex(const Table& table, const std::string& column) : column_(
   }
 }
 
-RowIdList RTreeIndex::Query(const BoundingBox& box) const {
-  RowIdList out;
-  ForEach(box, [&](RowId r) { out.push_back(r); });
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 size_t RTreeIndex::CountUnder(const BoundingBox& box, size_t node_idx) const {
   const Node& node = nodes_[node_idx];
   if (!box.Intersects(node.box)) return 0;

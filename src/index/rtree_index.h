@@ -23,15 +23,12 @@ class RTreeIndex {
   const std::string& column() const { return column_; }
   size_t size() const { return points_.size(); }
 
-  /// Sorted row ids whose point lies inside `box` (inclusive).
-  RowIdList Query(const BoundingBox& box) const;
-
   /// Number of matching rows. Subtrees whose box lies inside `box` are
   /// counted whole, so only the boundary leaves are tested point by point.
   size_t Count(const BoundingBox& box) const;
 
-  /// Calls `visit(row)` for every row whose point lies inside `box`, in tree
-  /// order (not row order): the rows of Query without the sort.
+  /// Calls `visit(row)` for every row whose point lies inside `box`
+  /// (inclusive), in tree order (not row order).
   template <typename Visit>
   void ForEach(const BoundingBox& box, Visit&& visit) const {
     if (!points_.empty()) Traverse(box, nodes_.size() - 1, visit);

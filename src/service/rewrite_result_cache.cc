@@ -12,9 +12,9 @@ namespace maliva {
 /// separate from the shard lock — so followers blocking on a slow leader
 /// never hold (or wait for) the shard, and probes on other keys stay O(1)
 /// while a search is in flight. The leader resolves the flight exactly once
-/// (Publish or Abort); `done` never goes back to false. The shard's flights
-/// map drops its reference at resolution; waiters keep the slot alive
-/// through the shared_ptr in their tickets.
+/// (Publish, Abort, or dropping its ticket); `done` never goes back to
+/// false. The shard's flights map drops its reference at resolution; waiters
+/// keep the slot alive through the shared_ptr in their tickets.
 struct RewriteResultCache::Flight {
   uint64_t epoch = 0;
   uint64_t snapshot = 0;
@@ -65,6 +65,10 @@ RewriteResultCache::Ticket RewriteResultCache::Begin(uint64_t key,
                                                      uint64_t snapshot) {
   Shard& shard = ShardFor(key);
   Ticket ticket;
+  ticket.cache_ = this;
+  ticket.key_ = key;
+  ticket.epoch_ = epoch;
+  ticket.snapshot_ = snapshot;
   std::unique_lock<std::shared_mutex> lock(shard.mutex);
 
   auto it = shard.entries.find(key);
@@ -169,48 +173,45 @@ void RewriteResultCache::InsertLocked(Shard& shard, uint64_t key,
   shard.entries.emplace(key, std::move(entry));
 }
 
-void RewriteResultCache::Publish(const Ticket& ticket, uint64_t key,
-                                 uint64_t epoch, uint64_t snapshot,
-                                 CachedRewrite value) {
-  Shard& shard = ShardFor(key);
+RewriteResultCache::Ticket::~Ticket() {
+  if (role == Role::kLeader && flight != nullptr) cache_->Abort(*this);
+}
+
+void RewriteResultCache::Publish(Ticket& ticket, CachedRewrite value) {
+  Resolve(ticket, &value);
+}
+
+void RewriteResultCache::Abort(Ticket& ticket) { Resolve(ticket, nullptr); }
+
+void RewriteResultCache::Resolve(Ticket& ticket, CachedRewrite* value) {
+  assert(ticket.cache_ == this);
+  std::shared_ptr<Flight> flight;
+  if (ticket.role == Role::kLeader) flight = std::move(ticket.flight);
+  if (value == nullptr && flight == nullptr) return;
+  Shard& shard = ShardFor(ticket.key_);
   {
     std::unique_lock<std::shared_mutex> lock(shard.mutex);
-    InsertLocked(shard, key, epoch, snapshot, value);
-    if (ticket.flight != nullptr && ticket.role == Role::kLeader) {
-      // Deregister first, under the shard lock: once the slot is out of the
-      // map no new follower can enroll, so resolving it below races nobody.
-      // Existing waiters hold the slot via their tickets.
-      auto it = shard.flights.find(key);
-      if (it != shard.flights.end() && it->second == ticket.flight) {
+    if (value != nullptr) {
+      InsertLocked(shard, ticket.key_, ticket.epoch_, ticket.snapshot_, *value);
+    }
+    // Deregister first, under the shard lock: once the slot is out of the
+    // map no new follower can enroll, so resolving it below races nobody.
+    // Existing waiters hold the slot via their tickets. Erase only our own
+    // flight: a successor leader may have re-opened the key after an earlier
+    // abort, and its slot must survive ours.
+    if (flight != nullptr) {
+      auto it = shard.flights.find(ticket.key_);
+      if (it != shard.flights.end() && it->second == flight) {
         shard.flights.erase(it);
       }
     }
   }
-  if (ticket.flight != nullptr && ticket.role == Role::kLeader) {
-    std::lock_guard<std::mutex> lock(ticket.flight->mutex);
-    ticket.flight->done = true;
-    ticket.flight->ok = true;
-    ticket.flight->value = std::move(value);
-    ticket.flight->cv.notify_all();
-  }
-}
-
-void RewriteResultCache::Abort(const Ticket& ticket, uint64_t key) {
-  if (ticket.flight == nullptr || ticket.role != Role::kLeader) return;
-  Shard& shard = ShardFor(key);
-  {
-    std::unique_lock<std::shared_mutex> lock(shard.mutex);
-    // Erase only our own flight: a successor leader may have re-opened the
-    // key after an earlier abort, and its slot must survive ours.
-    auto it = shard.flights.find(key);
-    if (it != shard.flights.end() && it->second == ticket.flight) {
-      shard.flights.erase(it);
-    }
-  }
-  std::lock_guard<std::mutex> lock(ticket.flight->mutex);
-  ticket.flight->done = true;
-  ticket.flight->ok = false;
-  ticket.flight->cv.notify_all();
+  if (flight == nullptr) return;
+  std::lock_guard<std::mutex> lock(flight->mutex);
+  flight->done = true;
+  flight->ok = value != nullptr;
+  if (value != nullptr) flight->value = std::move(*value);
+  flight->cv.notify_all();
 }
 
 std::optional<CachedRewrite> RewriteResultCache::WaitForLeader(

@@ -92,22 +92,38 @@ class RewriteResultCache {
   };
 
   /// What a Begin() probe resolved to. kHit carries the cached value;
-  /// kLeader owns the in-flight slot and must Publish or Abort exactly
-  /// once; kFollower must WaitForLeader; kSolo computes without a flight
-  /// (an in-flight leader exists under a *different* epoch/snapshot, or a
-  /// leader aborted) and publishes directly.
+  /// kLeader owns the in-flight slot and resolves it once, by Publish or
+  /// Abort (dropping the ticket aborts); kFollower must WaitForLeader; kSolo
+  /// computes without a flight (an in-flight leader exists under a
+  /// *different* epoch/snapshot) and publishes directly, as does a follower
+  /// whose leader aborted.
   enum class Role { kHit, kLeader, kFollower, kSolo };
 
   struct Flight;  // internal; exposed only through shared_ptr in Ticket
 
-  /// Begin()'s result. Move-only state is deliberately avoided: tickets are
-  /// small and copies share the flight slot.
-  struct Ticket {
+  /// Begin()'s result. Move-only: the ticket remembers its cache, key and
+  /// context, and destroying an unresolved leader ticket aborts its flight,
+  /// so an early return between Begin and Publish wakes the followers. A
+  /// copy could abort the flight the moment it died, so none can be made.
+  class Ticket {
+   public:
+    Ticket() = default;
+    Ticket(Ticket&&) = default;
+    Ticket& operator=(Ticket&&) = delete;
+    ~Ticket();
+
     Role role = Role::kSolo;
     /// Set iff role == kHit.
     std::optional<CachedRewrite> value;
     /// The in-flight slot (role kLeader/kFollower), null otherwise.
     std::shared_ptr<Flight> flight;
+
+   private:
+    friend class RewriteResultCache;
+    RewriteResultCache* cache_ = nullptr;
+    uint64_t key_ = 0;
+    uint64_t epoch_ = 0;
+    uint64_t snapshot_ = 0;
   };
 
   /// Counts into `registry`'s series (see "Accounting" above); a null
@@ -134,18 +150,17 @@ class RewriteResultCache {
   std::optional<CachedRewrite> Probe(uint64_t key, uint64_t epoch,
                                      uint64_t snapshot);
 
-  /// Leader/solo completion: inserts `value` for `key` under the context
-  /// and — when `ticket` holds a flight — resolves it, waking followers
-  /// with the value. A resident entry under the same context is left in
-  /// place (first writer wins, payloads are identical by construction);
-  /// a stale resident is replaced.
-  void Publish(const Ticket& ticket, uint64_t key, uint64_t epoch,
-               uint64_t snapshot, CachedRewrite value);
+  /// Leader/solo completion: inserts `value` under the ticket's key and
+  /// context and — when the ticket leads a flight — resolves it, waking
+  /// followers with the value. A resident entry under the same context is
+  /// left in place (first writer wins, payloads are identical by
+  /// construction); a stale resident is replaced.
+  void Publish(Ticket& ticket, CachedRewrite value);
 
   /// Leader bail-out (error path): resolves the flight empty, waking
-  /// followers to compute solo. No entry is inserted. No-op without a
-  /// flight.
-  void Abort(const Ticket& ticket, uint64_t key);
+  /// followers to compute solo. No entry is inserted. No-op without an
+  /// unresolved leader flight; a leader ticket's destructor calls it.
+  void Abort(Ticket& ticket);
 
   /// Follower wait: blocks until the ticket's leader publishes or aborts.
   /// Returns the leader's value (counted as coalesced) or nullopt on abort
@@ -194,6 +209,9 @@ class RewriteResultCache {
   };
 
   Shard& ShardFor(uint64_t key) const;
+  /// Publish (`value` set) and Abort (null): inserts the value, and resolves
+  /// the ticket's flight when it leads one.
+  void Resolve(Ticket& ticket, CachedRewrite* value);
   /// Inserts (or refreshes) an entry, evicting via CLOCK when the shard is
   /// full. Caller holds the shard's exclusive lock.
   void InsertLocked(Shard& shard, uint64_t key, uint64_t epoch,

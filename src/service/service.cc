@@ -35,40 +35,14 @@ Status ServiceConfig::Validate() const {
   if (!(beta >= 0.0 && beta <= 1.0)) {
     return Status::InvalidArgument("beta must be within [0, 1] (Eq 2 weight)");
   }
-  if (cross_request_cache) {
-    if (shared_store_capacity == 0) {
-      return Status::InvalidArgument(
-          "cross_request_cache requires shared_store_capacity > 0");
-    }
-    if (shared_store_shards == 0) {
-      return Status::InvalidArgument(
-          "cross_request_cache requires shared_store_shards > 0");
-    }
-    if (shared_store_shards > shared_store_capacity) {
-      return Status::InvalidArgument(
-          "shared_store_shards (" + std::to_string(shared_store_shards) +
-          ") must not exceed shared_store_capacity (" +
-          std::to_string(shared_store_capacity) + ")");
-    }
-    if (signature_literal_bins < 1) {
-      return Status::InvalidArgument(
-          "cross_request_cache requires signature_literal_bins >= 1");
-    }
+  if (cross_request_cache && signature_literal_bins < 1) {
+    return Status::InvalidArgument(
+        "cross_request_cache requires signature_literal_bins >= 1");
   }
   if (result_cache) {
     if (result_cache_capacity == 0) {
       return Status::InvalidArgument(
           "result_cache requires result_cache_capacity > 0");
-    }
-    if (result_cache_shards == 0) {
-      return Status::InvalidArgument(
-          "result_cache requires result_cache_shards > 0");
-    }
-    if (result_cache_shards > result_cache_capacity) {
-      return Status::InvalidArgument(
-          "result_cache_shards (" + std::to_string(result_cache_shards) +
-          ") must not exceed result_cache_capacity (" +
-          std::to_string(result_cache_capacity) + ")");
     }
     if (!(result_cache_tau_bin_ms > 0.0) ||
         !std::isfinite(result_cache_tau_bin_ms)) {
@@ -85,29 +59,6 @@ Status ServiceConfig::Validate() const {
           "start from the canonical query signature)");
     }
   }
-  if (histogram_selectivity) {
-    if (histogram_buckets == 0) {
-      return Status::InvalidArgument(
-          "histogram_selectivity requires histogram_buckets > 0");
-    }
-    if (histogram_grid_cells == 0) {
-      return Status::InvalidArgument(
-          "histogram_selectivity requires histogram_grid_cells > 0");
-    }
-    if (!(histogram_cost_ms >= 0.0) || !std::isfinite(histogram_cost_ms)) {
-      return Status::InvalidArgument(
-          "histogram_cost_ms must be finite and non-negative");
-    }
-    if (!(max_histogram_rel_error > 0.0) ||
-        !std::isfinite(max_histogram_rel_error)) {
-      return Status::InvalidArgument(
-          "max_histogram_rel_error must be finite and positive");
-    }
-    if (histogram_error_window == 0) {
-      return Status::InvalidArgument(
-          "histogram_selectivity requires histogram_error_window > 0");
-    }
-  }
   if (profile_requests && profile_sample_every == 0) {
     return Status::InvalidArgument(
         "profile_requests requires profile_sample_every >= 1 (0 would divide "
@@ -118,25 +69,12 @@ Status ServiceConfig::Validate() const {
       return Status::InvalidArgument(
           "online_learning requires online_min_transitions > 0");
     }
-    if (online_replay_capacity == 0) {
-      return Status::InvalidArgument(
-          "online_learning requires online_replay_capacity > 0");
-    }
-    if (online_replay_shards == 0) {
-      return Status::InvalidArgument(
-          "online_learning requires online_replay_shards > 0");
-    }
-    if (online_replay_shards > online_replay_capacity) {
-      return Status::InvalidArgument(
-          "online_replay_shards (" + std::to_string(online_replay_shards) +
-          ") must not exceed online_replay_capacity (" +
-          std::to_string(online_replay_capacity) + ")");
-    }
-    if (online_min_transitions > online_replay_capacity) {
+    const size_t replay_capacity = ContinualTrainer::Config{}.replay_capacity;
+    if (online_min_transitions > replay_capacity) {
       return Status::InvalidArgument(
           "online_min_transitions (" + std::to_string(online_min_transitions) +
-          ") must not exceed online_replay_capacity (" +
-          std::to_string(online_replay_capacity) +
+          ") must not exceed the replay sink capacity (" +
+          std::to_string(replay_capacity) +
           "): the sink could never reach the retrain trigger");
     }
     if (online_gradient_steps == 0) {
@@ -210,44 +148,29 @@ MalivaService::MalivaService(Scenario* scenario, ServiceConfig config)
 
   config_status_ = config_.Validate();
   signature_options_.literal_bins = config_.signature_literal_bins;
+  // Each plane's component runs at its own Config defaults; only the knobs
+  // ServiceConfig exposes are copied in.
   if (config_status_.ok() && config_.cross_request_cache) {
-    SharedSelectivityStore::Config store_config;
-    store_config.capacity = config_.shared_store_capacity;
-    store_config.shards = config_.shared_store_shards;
-    state_.shared_store = std::make_unique<SharedSelectivityStore>(store_config);
+    state_.shared_store =
+        std::make_unique<SharedSelectivityStore>(SharedSelectivityStore::Config{});
   }
   fingerprint_options_.tau_bin_ms = config_.result_cache_tau_bin_ms;
   fingerprint_options_.quality_floor_bins = config_.result_cache_floor_bins;
   if (config_status_.ok() && config_.result_cache) {
     RewriteResultCache::Config cache_config;
     cache_config.capacity = config_.result_cache_capacity;
-    cache_config.shards = config_.result_cache_shards;
     state_.result_cache =
         std::make_unique<RewriteResultCache>(cache_config, &metrics_registry_);
   }
   if (config_status_.ok() && config_.histogram_selectivity) {
-    // Rebuild the engine's histograms at the configured resolution first:
-    // ConfigureHistograms bumps the catalog version on a resolution change,
-    // and the tier must capture the post-rebuild epoch or it would decline
-    // every estimate as stale from the first request.
-    HistogramOptions hist;
-    hist.buckets = config_.histogram_buckets;
-    hist.grid_cells = config_.histogram_grid_cells;
-    scenario_->engine->ConfigureHistograms(hist);
-    SelectivityTierConfig tier_config;
-    tier_config.histogram_cost_ms = config_.histogram_cost_ms;
-    tier_config.max_rel_error = config_.max_histogram_rel_error;
-    tier_config.error_window = config_.histogram_error_window;
     state_.selectivity_tier = std::make_unique<SelectivityTier>(
-        scenario_->engine.get(), tier_config);
+        scenario_->engine.get(), SelectivityTierConfig{});
   }
   if (config_status_.ok() && config_.online_learning) {
     state_.model_registry =
         std::make_unique<ModelRegistry>(config_.online_max_snapshots);
     ContinualTrainer::Config trainer_config;
     trainer_config.min_transitions = config_.online_min_transitions;
-    trainer_config.replay_capacity = config_.online_replay_capacity;
-    trainer_config.replay_shards = config_.online_replay_shards;
     trainer_config.gradient_steps = config_.online_gradient_steps;
     trainer_config.batch_size = config_.trainer.batch_size;
     trainer_config.learning_rate = config_.online_learning_rate;
@@ -467,60 +390,37 @@ std::vector<std::string> MalivaService::RegisteredStrategies() const {
 
 namespace {
 
-/// Builds the response a cached decision replays: the entry's bytes —
-/// strategy, outcome, option, fallback flag, stats template — plus a fresh
-/// SQL rendering against the hitting request's own query (requests within
-/// one fingerprint bin keep their own literals) and the hit/coalesced
-/// stamps. serve_wall_ms is stamped by ServeIndexed like any response.
-RewriteResponse ReplayCached(const CachedRewrite& cached, const Query& query,
-                             bool coalesced) {
+/// Renders the decided rewrite of `query` (hints included), under a kRender
+/// span when profiled. Misses and replays both end here: a replay renders
+/// against the hitting request's own query, since requests within one
+/// fingerprint bin keep their own literals.
+std::string RenderSql(const Query& query, const RewriteOption* option,
+                      QueryProfiler* prof) {
+  ProfilerSimpleGuard span(prof, QueryProfiler::kRender);
+  return option != nullptr ? RewrittenQuery{&query, *option}.ToString()
+                           : query.ToString();
+}
+
+/// The one replay routine: moves a cached decision — strategy, outcome,
+/// option, fallback flag, stats template — into a response, renders its SQL
+/// and stamps hit/coalesced and, when profiled, the breakdown so far. A
+/// breakdown describes the request that measured it, so a replay never
+/// inherits the original miss's. serve_wall_ms is stamped by Account.
+RewriteResponse ReplayCached(CachedRewrite&& cached, const Query& query,
+                             bool coalesced, QueryProfiler* prof) {
   RewriteResponse resp;
-  resp.strategy = cached.strategy;
+  resp.strategy = std::move(cached.strategy);
   resp.outcome = cached.outcome;
   resp.option = cached.option;
   resp.exact_fallback = cached.exact_fallback;
   resp.stats = cached.stats;
-  // A breakdown describes the request that measured it: replays must not
-  // inherit the original miss's profile (the hit path stamps its own partial
-  // breakdown when this request is itself profiled).
   resp.stats.profile.reset();
   resp.stats.result_cache_hit = true;
   resp.stats.result_cache_coalesced = coalesced;
-  resp.rewritten_sql = cached.option != nullptr
-                           ? RewrittenQuery{&query, *cached.option}.ToString()
-                           : query.ToString();
+  resp.rewritten_sql = RenderSql(query, cached.option, prof);
+  if (prof != nullptr) resp.stats.profile = prof->Snapshot();
   return resp;
 }
-
-/// Aborts a leader's in-flight slot on error-path returns between Begin and
-/// Publish, so followers wake up and compute solo instead of blocking on a
-/// leader that will never publish. Not copyable: a temporary copy would
-/// abort the flight the moment it died, defeating single-flight entirely.
-class FlightAbortGuard {
- public:
-  FlightAbortGuard() = default;
-  FlightAbortGuard(const FlightAbortGuard&) = delete;
-  FlightAbortGuard& operator=(const FlightAbortGuard&) = delete;
-  ~FlightAbortGuard() {
-    if (armed_) cache_->Abort(*ticket_, key_);
-  }
-
-  /// Arms the guard when `ticket` leads a flight (other roles own none).
-  void Arm(RewriteResultCache* cache, const RewriteResultCache::Ticket* ticket,
-           uint64_t key) {
-    cache_ = cache;
-    ticket_ = ticket;
-    key_ = key;
-    armed_ = ticket->role == RewriteResultCache::Role::kLeader;
-  }
-  void Disarm() { armed_ = false; }
-
- private:
-  RewriteResultCache* cache_ = nullptr;
-  const RewriteResultCache::Ticket* ticket_ = nullptr;
-  uint64_t key_ = 0;
-  bool armed_ = false;
-};
 
 /// Request validation: reject malformed inputs before touching any strategy.
 Status ValidateRequest(const RewriteRequest& request) {
@@ -545,74 +445,86 @@ Result<RewriteResponse> MalivaService::Serve(const RewriteRequest& request) cons
   return ServeIndexed(request, 0);
 }
 
+MalivaService::DecisionContext MalivaService::ResolveContext(
+    const RewriteRequest& request, const Rewriter& strategy, bool keyed,
+    QueryProfiler* prof) const {
+  DecisionContext ctx;
+  ctx.name = &StrategyName(request);
+  ctx.tau_ms = request.tau_ms.value_or(strategy.default_tau_ms());
+  if (keyed) {
+    // The canonical form seeds the shared store's slot keys and the cache
+    // key alike; the epoch pins both to the current statistics ground truth
+    // (catalog changes read as a cold store and a stale cache entry).
+    ProfilerSimpleGuard span(prof, QueryProfiler::kSignature);
+    ctx.canonical = Canonicalize(*request.query, signature_options_);
+    ctx.epoch = scenario_->engine->catalog_version();
+    ctx.fingerprint = MakeRequestFingerprint(ctx.canonical.signature, *ctx.name,
+                                             ctx.tau_ms, request.quality_floor,
+                                             fingerprint_options_)
+                          .value;
+  }
+  // Online plane: the newest published snapshot serves the request. Its
+  // version is a cache-context component, so a hit is only ever served
+  // against the exact weights that would serve the miss; the shared_ptr
+  // keeps it alive even if a retrain publishes (or an operator rolls back)
+  // mid-request.
+  ContinualTrainer* online = state_.continual_trainer.get();
+  ctx.agent_key = online != nullptr ? OnlineAgentKeyFor(*ctx.name) : nullptr;
+  if (ctx.agent_key != nullptr) {
+    ctx.model = online->Current(ctx.agent_key);
+    if (ctx.model) ctx.snapshot_version = ctx.model.snapshot->meta().version;
+  }
+  return ctx;
+}
+
+std::optional<MalivaService::DecisionContext> MalivaService::ProbeContext(
+    const RewriteRequest& request) const {
+  if (!config_status_.ok() || !ValidateRequest(request).ok()) return std::nullopt;
+  // Probe-only discipline: resolving the default tau needs the strategy, but
+  // building one here would drag the admission plane (or a trace stamp)
+  // through training. A cold strategy is unresolvable.
+  const Rewriter* strategy = FindBuiltRewriter(StrategyName(request));
+  if (strategy == nullptr) return std::nullopt;
+  return ResolveContext(request, *strategy, /*keyed=*/true, /*prof=*/nullptr);
+}
+
 std::optional<RewriteResponse> MalivaService::TryServeCached(
     const RewriteRequest& request) const {
   RewriteResultCache* rcache = state_.result_cache.get();
-  if (rcache == nullptr || !config_status_.ok()) return std::nullopt;
-  if (!ValidateRequest(request).ok()) return std::nullopt;
-
-  auto wall_start = std::chrono::steady_clock::now();
-  const std::string& name =
-      request.strategy.empty() ? config_.default_strategy : request.strategy;
-  // Probe-only discipline: resolving the default tau needs the strategy, but
-  // building one here would drag the admission plane through training. A
-  // cold strategy is simply a miss — the serve path builds it as usual.
-  const Rewriter* strategy = FindBuiltRewriter(name);
-  if (strategy == nullptr) return std::nullopt;
-  double tau = request.tau_ms.value_or(strategy->default_tau_ms());
-
-  CanonicalQuery canonical = Canonicalize(*request.query, signature_options_);
-  uint64_t epoch = scenario_->engine->catalog_version();
-  ContinualTrainer* online = state_.continual_trainer.get();
-  const char* agent_key = online != nullptr ? OnlineAgentKeyFor(name) : nullptr;
-  uint64_t snapshot_version = 0;
-  if (agent_key != nullptr) {
-    PublishedModel model = online->Current(agent_key);
-    if (model) snapshot_version = model.snapshot->meta().version;
-  }
-  uint64_t fingerprint = MakeRequestFingerprint(canonical.signature, name, tau,
-                                                request.quality_floor,
-                                                fingerprint_options_)
-                             .value;
+  if (rcache == nullptr) return std::nullopt;
+  auto start = std::chrono::steady_clock::now();
+  std::optional<DecisionContext> ctx = ProbeContext(request);
+  if (!ctx.has_value()) return std::nullopt;
   std::optional<CachedRewrite> cached =
-      rcache->Probe(fingerprint, epoch, snapshot_version);
+      rcache->Probe(ctx->fingerprint, ctx->epoch, ctx->snapshot_version);
   if (!cached.has_value()) return std::nullopt;
-
-  RewriteResponse resp =
-      ReplayCached(*cached, *request.query, /*coalesced=*/false);
-  resp.stats.serve_wall_ms = std::chrono::duration<double, std::milli>(
-                                std::chrono::steady_clock::now() - wall_start)
-                                .count();
-  Account(&resp, resp.stats.serve_wall_ms);
+  RewriteResponse resp = ReplayCached(std::move(*cached), *request.query,
+                                      /*coalesced=*/false, /*prof=*/nullptr);
+  Account(&resp, start);
   return resp;
 }
 
 uint64_t MalivaService::FingerprintRequest(const RewriteRequest& request) const {
-  // Cold-path mirror of TryServeCached's key derivation, minus the probe:
-  // the trace ring stamps this onto events so offline analysis can join a
-  // request's trace line against the result-cache decision context. 0 when
-  // the context is unresolvable (invalid request, misconfiguration, or a
-  // strategy not yet built — fingerprinting must never train one).
-  if (!config_status_.ok() || !ValidateRequest(request).ok()) return 0;
-  const std::string& name =
-      request.strategy.empty() ? config_.default_strategy : request.strategy;
-  const Rewriter* strategy = FindBuiltRewriter(name);
-  double tau = request.tau_ms.has_value() ? *request.tau_ms
-               : strategy != nullptr      ? strategy->default_tau_ms()
-                                          : scenario_->config.tau_ms;
-  CanonicalQuery canonical = Canonicalize(*request.query, signature_options_);
-  return MakeRequestFingerprint(canonical.signature, name, tau,
-                                request.quality_floor, fingerprint_options_)
-      .value;
+  // The trace ring stamps this onto events so offline analysis can join a
+  // request's trace line against the result-cache decision context.
+  std::optional<DecisionContext> ctx = ProbeContext(request);
+  return ctx.has_value() ? ctx->fingerprint : 0;
 }
 
-void MalivaService::Account(const RewriteResponse* response, double wall_ms) const {
+void MalivaService::Account(RewriteResponse* response,
+                            std::chrono::steady_clock::time_point start) const {
+  // Time the request on the host wall clock (the one quantity virtual time
+  // cannot provide) and account it, errors included.
+  double wall_ms = std::chrono::duration<double, std::milli>(
+                       std::chrono::steady_clock::now() - start)
+                       .count();
   const ServeMetrics& m = serve_metrics_;
   m.serve_latency->Record(wall_ms);
   if (response == nullptr) {
     m.requests_error->Increment();
     return;
   }
+  response->stats.serve_wall_ms = wall_ms;
   m.requests_ok->Increment();
   if (response->exact_fallback) m.exact_fallbacks->Increment();
   if (response->stats.result_cache_hit) return;
@@ -625,15 +537,9 @@ void MalivaService::Account(const RewriteResponse* response, double wall_ms) con
 
 Result<RewriteResponse> MalivaService::ServeIndexed(const RewriteRequest& request,
                                                     uint64_t request_index) const {
-  // Time the request on the host wall clock (the one quantity virtual time
-  // cannot provide) and account it, errors included.
-  auto wall_start = std::chrono::steady_clock::now();
+  auto start = std::chrono::steady_clock::now();
   Result<RewriteResponse> result = ServeImpl(request, request_index);
-  double wall_ms = std::chrono::duration<double, std::milli>(
-                       std::chrono::steady_clock::now() - wall_start)
-                       .count();
-  if (result.ok()) result.value().stats.serve_wall_ms = wall_ms;
-  Account(result.ok() ? &result.value() : nullptr, wall_ms);
+  Account(result.ok() ? &result.value() : nullptr, start);
   return result;
 }
 
@@ -641,22 +547,18 @@ Result<RewriteResponse> MalivaService::ServeImpl(const RewriteRequest& request,
                                                  uint64_t request_index) const {
   MALIVA_RETURN_NOT_OK(config_status_);
   MALIVA_RETURN_NOT_OK(ValidateRequest(request));
-
-  const std::string& name =
-      request.strategy.empty() ? config_.default_strategy : request.strategy;
-  Result<const Rewriter*> rewriter = GetRewriter(name);
+  Result<const Rewriter*> rewriter = GetRewriter(StrategyName(request));
   if (!rewriter.ok()) return rewriter.status();
   const Rewriter& strategy = *rewriter.value();
 
   // All mutable per-request state lives here; the strategy objects stay
   // shared-immutable across threads.
   RewriteSession session(RewriteSession::SeedFor(session_seed_base_, request_index));
-  double tau = request.tau_ms.value_or(strategy.default_tau_ms());
 
-  // Measurement plane (ISSUE 9): a sampled request gets a stack-owned
-  // profiler bound to its session. `prof == nullptr` is the off path — no
-  // clock is ever read there, and the breakdown never feeds back into any
-  // decision, so responses stay byte-identical either way.
+  // Measurement plane: a sampled request gets a stack-owned profiler bound
+  // to its session. `prof == nullptr` is the off path — no clock is ever
+  // read there, and the breakdown never feeds back into any decision, so
+  // responses stay byte-identical either way.
   std::optional<QueryProfiler> profiler_storage;
   QueryProfiler* prof = nullptr;
   if (config_.profile_requests &&
@@ -666,92 +568,48 @@ Result<RewriteResponse> MalivaService::ServeImpl(const RewriteRequest& request,
     session.BindProfiler(prof);
   }
 
-  // Knowledge plane: canonicalize the query and bind the shared store so the
-  // session's episode caches start pre-seeded with the selectivities earlier
-  // requests collected. The epoch pins the store's entries to the current
-  // statistics ground truth (catalog changes read as a cold store). The
-  // canonical form is computed once and shared with the result cache below.
+  // Knowledge plane: bind the shared store so the session's episode caches
+  // start pre-seeded with the selectivities earlier requests collected.
   SharedSelectivityStore* store = state_.shared_store.get();
   RewriteResultCache* rcache = state_.result_cache.get();
-  CanonicalQuery canonical;
-  uint64_t epoch = 0;
-  if (store != nullptr || rcache != nullptr) {
-    ProfilerSimpleGuard span(prof, QueryProfiler::kSignature);
-    canonical = Canonicalize(*request.query, signature_options_);
-    epoch = scenario_->engine->catalog_version();
-  }
+  const DecisionContext ctx = ResolveContext(
+      request, strategy, /*keyed=*/store != nullptr || rcache != nullptr, prof);
   if (store != nullptr) {
-    session.BindSharedStore(store, &canonical.slot_keys, epoch);
+    session.BindSharedStore(store, &ctx.canonical.slot_keys, ctx.epoch);
   }
-
-  // Online learning plane: serve the strategy's newest published snapshot
-  // instead of its frozen construction-time weights, and capture the
-  // episode's transitions for the feedback path. The shared_ptr keeps the
-  // snapshot alive for the whole call even if a retrain publishes (or an
-  // operator rolls back) mid-request. The snapshot is fetched *before* the
-  // cache probe: its version is a key-context component, so a hit is only
-  // ever served against the exact weights that would serve the miss.
-  ContinualTrainer* online = state_.continual_trainer.get();
-  const char* agent_key = online != nullptr ? OnlineAgentKeyFor(name) : nullptr;
-  PublishedModel model;
-  if (agent_key != nullptr) model = online->Current(agent_key);
-  const uint64_t snapshot_version = model ? model.snapshot->meta().version : 0;
 
   // Decision tier: replay a resident decision, follow an in-flight leader's
-  // search, or lead (publish on the way out). Hits skip QTE, agent, and the
+  // search, or lead (publish on the way out; an early error return drops
+  // the ticket, which aborts the flight). Hits skip QTE, agent, and the
   // whole episode; they also record no online feedback — the decision's
-  // transitions were observed once, when the miss computed them.
-  uint64_t fingerprint = 0;
-  RewriteResultCache::Ticket ticket;
-  FlightAbortGuard abort_guard;
-  if (rcache != nullptr) {
-    // The probe span covers fingerprinting, Begin, and a follower's wait on
-    // its leader; on a replayed decision the whole span is inherited work
-    // (AddCachedMs) and the response carries the partial breakdown measured
-    // so far — the replay itself does no search to bill.
-    if (prof != nullptr) prof->StartTimer(QueryProfiler::kCacheProbe);
-    fingerprint = MakeRequestFingerprint(canonical.signature, name, tau,
-                                         request.quality_floor,
-                                         fingerprint_options_)
-                      .value;
-    ticket = rcache->Begin(fingerprint, epoch, snapshot_version);
-    if (ticket.role == RewriteResultCache::Role::kHit) {
-      if (prof != nullptr) {
-        prof->AddCachedMs(QueryProfiler::kCacheProbe,
-                          prof->StopTimer(QueryProfiler::kCacheProbe));
-      }
-      RewriteResponse hit =
-          ReplayCached(*ticket.value, *request.query, /*coalesced=*/false);
-      if (prof != nullptr) hit.stats.profile = prof->Snapshot();
-      return hit;
-    }
-    if (ticket.role == RewriteResultCache::Role::kFollower) {
-      std::optional<CachedRewrite> led = rcache->WaitForLeader(ticket);
-      if (led.has_value()) {
-        if (prof != nullptr) {
-          prof->AddCachedMs(QueryProfiler::kCacheProbe,
-                            prof->StopTimer(QueryProfiler::kCacheProbe));
-        }
-        RewriteResponse coalesced =
-            ReplayCached(*led, *request.query, /*coalesced=*/true);
-        if (prof != nullptr) coalesced.stats.profile = prof->Snapshot();
-        return coalesced;
-      }
-      ticket = RewriteResultCache::Ticket{};  // leader aborted: compute solo
-    }
-    if (prof != nullptr) prof->StopTimer(QueryProfiler::kCacheProbe);
-    abort_guard.Arm(rcache, &ticket, fingerprint);
+  // transitions were observed once, when the miss computed them. The probe
+  // span covers Begin and a follower's wait; on a replayed decision it is
+  // inherited work (AddCachedMs).
+  if (prof != nullptr && rcache != nullptr) prof->StartTimer(QueryProfiler::kCacheProbe);
+  RewriteResultCache::Ticket ticket =
+      rcache != nullptr
+          ? rcache->Begin(ctx.fingerprint, ctx.epoch, ctx.snapshot_version)
+          : RewriteResultCache::Ticket{};
+  const bool follower = ticket.role == RewriteResultCache::Role::kFollower;
+  std::optional<CachedRewrite> replay = std::move(ticket.value);
+  if (follower) replay = rcache->WaitForLeader(ticket);  // nullopt: solo
+  if (prof != nullptr && rcache != nullptr) {
+    double probe_ms = prof->StopTimer(QueryProfiler::kCacheProbe);
+    if (replay.has_value()) prof->AddCachedMs(QueryProfiler::kCacheProbe, probe_ms);
+  }
+  if (replay.has_value()) {
+    return ReplayCached(std::move(*replay), *request.query, follower, prof);
   }
 
-  if (model) {
-    session.BindAgentOverride(model.agent.get());
+  if (ctx.model) {
+    session.BindAgentOverride(ctx.model.agent.get());
     session.set_capture_transitions(true);
   }
 
   RewriteResponse resp;
-  resp.strategy = name;
+  resp.strategy = *ctx.name;
   if (prof != nullptr) prof->StartTimer(QueryProfiler::kSearch);
-  resp.outcome = strategy.RewriteForSession(*request.query, tau, session);
+  resp.outcome = strategy.RewriteForSession(*request.query, ctx.tau_ms, session);
   resp.option = strategy.DecidedOption(resp.outcome);
 
   if (request.quality_floor.has_value() &&
@@ -769,11 +627,11 @@ Result<RewriteResponse> MalivaService::ServeImpl(const RewriteRequest& request,
     session.ChargeAbandonedAttempt(resp.outcome.planning_ms, resp.outcome.steps);
     session.set_exact_fallback(true);
     resp.strategy = "baseline";
-    resp.outcome = exact.value()->RewriteForSession(*request.query, tau, session);
+    resp.outcome = exact.value()->RewriteForSession(*request.query, ctx.tau_ms, session);
     resp.outcome.planning_ms += session.abandoned_planning_ms();
     resp.outcome.total_ms = resp.outcome.planning_ms + resp.outcome.exec_ms;
     resp.outcome.steps += session.abandoned_steps();
-    resp.outcome.viable = resp.outcome.total_ms <= tau;
+    resp.outcome.viable = resp.outcome.total_ms <= ctx.tau_ms;
     resp.option = exact.value()->DecidedOption(resp.outcome);
   }
   if (prof != nullptr) prof->StopTimer(QueryProfiler::kSearch);
@@ -800,11 +658,12 @@ Result<RewriteResponse> MalivaService::ServeImpl(const RewriteRequest& request,
   resp.stats.selectivity_tier_hits[2] = probes;
   if (store != nullptr) {
     ProfilerSimpleGuard span(prof, QueryProfiler::kPublish);
+    const std::vector<uint64_t>& slot_keys = ctx.canonical.slot_keys;
     for (const SelectivityCache& cache : session.caches()) {
-      if (cache.num_slots() != canonical.slot_keys.size()) continue;
+      if (cache.num_slots() != slot_keys.size()) continue;
       for (size_t slot = 0; slot < cache.num_slots(); ++slot) {
         if (!cache.Has(slot)) continue;
-        if (store->Publish(canonical.slot_keys[slot], epoch, cache.Get(slot))) {
+        if (store->Publish(slot_keys[slot], ctx.epoch, cache.Get(slot))) {
           ++resp.stats.shared_published;
         }
       }
@@ -817,22 +676,14 @@ Result<RewriteResponse> MalivaService::ServeImpl(const RewriteRequest& request,
   // strategy, so the stamp stays 0 there (the documented frozen-weights
   // value) — but the abandoned MDP attempt's transitions are still real
   // observed feedback and are recorded either way.
-  if (model) {
-    if (!resp.exact_fallback) {
-      resp.stats.agent_snapshot_version = model.snapshot->meta().version;
-    }
+  if (ctx.model) {
+    if (!resp.exact_fallback) resp.stats.agent_snapshot_version = ctx.snapshot_version;
     if (!session.transitions().empty()) {
-      online->Record(agent_key, session.TakeTransitions());
+      state_.continual_trainer->Record(ctx.agent_key, session.TakeTransitions());
     }
   }
 
-  {
-    ProfilerSimpleGuard span(prof, QueryProfiler::kRender);
-    resp.rewritten_sql =
-        resp.option != nullptr
-            ? RewrittenQuery{request.query, *resp.option}.ToString()
-            : request.query->ToString();
-  }
+  resp.rewritten_sql = RenderSql(*request.query, resp.option, prof);
 
   // Decision tier, publish side: the completed search becomes this context's
   // cached entry (leader resolution wakes any coalesced followers with it).
@@ -840,15 +691,8 @@ Result<RewriteResponse> MalivaService::ServeImpl(const RewriteRequest& request,
   // the wall clock are per-request and still zero at this point.
   if (rcache != nullptr) {
     ProfilerSimpleGuard span(prof, QueryProfiler::kPublish);
-    abort_guard.Disarm();
-    CachedRewrite cached;
-    cached.strategy = resp.strategy;
-    cached.outcome = resp.outcome;
-    cached.option = resp.option;
-    cached.exact_fallback = resp.exact_fallback;
-    cached.stats = resp.stats;
-    rcache->Publish(ticket, fingerprint, epoch, snapshot_version,
-                    std::move(cached));
+    rcache->Publish(ticket, CachedRewrite{resp.strategy, resp.outcome, resp.option,
+                                          resp.exact_fallback, resp.stats});
   }
   if (prof != nullptr) resp.stats.profile = prof->Snapshot();
   return resp;
@@ -931,7 +775,7 @@ std::vector<Result<RewriteResponse>> MalivaService::ServeBatch(
     needed.push_back(name);
   };
   for (const RewriteRequest& request : requests) {
-    want(request.strategy.empty() ? config_.default_strategy : request.strategy);
+    want(StrategyName(request));
     if (request.quality_floor.has_value()) want("baseline");
   }
   for (const std::string& name : needed) {
@@ -952,19 +796,9 @@ std::vector<Result<RewriteResponse>> MalivaService::ServeBatch(
     std::unordered_map<uint64_t, size_t> first_by_key;
     first_by_key.reserve(requests.size());
     for (size_t i = 0; i < requests.size(); ++i) {
-      const RewriteRequest& req = requests[i];
-      if (!ValidateRequest(req).ok()) continue;
-      const std::string& name =
-          req.strategy.empty() ? config_.default_strategy : req.strategy;
-      const Rewriter* strategy = FindBuiltRewriter(name);
-      if (strategy == nullptr) continue;
-      double tau = req.tau_ms.value_or(strategy->default_tau_ms());
-      CanonicalQuery canonical = Canonicalize(*req.query, signature_options_);
-      uint64_t fp = MakeRequestFingerprint(canonical.signature, name, tau,
-                                           req.quality_floor,
-                                           fingerprint_options_)
-                        .value;
-      auto [it, inserted] = first_by_key.emplace(fp, i);
+      std::optional<DecisionContext> ctx = ProbeContext(requests[i]);
+      if (!ctx.has_value()) continue;
+      auto [it, inserted] = first_by_key.emplace(ctx->fingerprint, i);
       if (!inserted) replay_of[i] = it->second;
     }
   }
@@ -984,29 +818,25 @@ std::vector<Result<RewriteResponse>> MalivaService::ServeBatch(
     Pool().ParallelFor(requests.size(), serve_one);
   }
 
-  // Replay phase: each follower copies its leader's decision bytes, renders
-  // SQL against its own query, and stamps hit+coalesced — exactly what a
-  // cache hit on the published entry would produce, minus the map probe.
+  // Replay phase: each follower replays its leader's decision bytes exactly
+  // as a coalesced cache hit on the published entry would, minus the map
+  // probe. A leader's error is this context's answer (identical requests
+  // fail identically), so it is replayed too.
   for (size_t i = 0; i < requests.size(); ++i) {
     if (replay_of[i] == kUnique) continue;
-    auto wall_start = std::chrono::steady_clock::now();
+    auto start = std::chrono::steady_clock::now();
     const Result<RewriteResponse>& led = *slots[replay_of[i]];
     if (!led.ok()) {
-      // The leader's error is this context's answer (identical requests fail
-      // identically); replaying it keeps per-slot outcomes consistent.
-      Account(nullptr, 0.0);
+      Account(nullptr, start);
       slots[i] = led.status();
       continue;
     }
+    const RewriteResponse& lead = led.value();
     RewriteResponse resp = ReplayCached(
-        CachedRewrite{led.value().strategy, led.value().outcome,
-                      led.value().option, led.value().exact_fallback,
-                      led.value().stats},
-        *requests[i].query, /*coalesced=*/true);
-    resp.stats.serve_wall_ms = std::chrono::duration<double, std::milli>(
-                                  std::chrono::steady_clock::now() - wall_start)
-                                  .count();
-    Account(&resp, resp.stats.serve_wall_ms);
+        CachedRewrite{lead.strategy, lead.outcome, lead.option,
+                      lead.exact_fallback, lead.stats},
+        *requests[i].query, /*coalesced=*/true, /*prof=*/nullptr);
+    Account(&resp, start);
     rcache->NoteCoalesced(1);
     slots[i] = std::move(resp);
   }

@@ -40,6 +40,7 @@
 #ifndef MALIVA_SERVICE_SERVICE_H_
 #define MALIVA_SERVICE_SERVICE_H_
 
+#include <chrono>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -61,7 +62,8 @@
 
 namespace maliva {
 
-class ThreadPool;  // util/thread_pool.h; owned pool is created lazily
+class QueryProfiler;  // util/query_profiler.h
+class ThreadPool;     // util/thread_pool.h; owned pool is created lazily
 
 /// Configuration of one MalivaService instance. Builder-style setters allow
 /// inline construction; every knob has a sensible default.
@@ -98,12 +100,6 @@ struct ServiceConfig {
   /// deterministic given a fixed store snapshot, but batch results may
   /// depend on request completion order (who publishes first).
   bool cross_request_cache = false;
-  /// Shared store entry capacity (FIFO eviction). Must be > 0 when the
-  /// cache is on.
-  size_t shared_store_capacity = 1u << 20;
-  /// Shared store lock shards. Must be > 0 and <= capacity when the cache
-  /// is on.
-  size_t shared_store_shards = 16;
   /// Literal-binning granularity of query canonicalization
   /// (SignatureOptions::literal_bins). Must be >= 1 when the cache is on.
   int signature_literal_bins = SignatureOptions{}.literal_bins;
@@ -113,25 +109,12 @@ struct ServiceConfig {
   /// stays byte-identical at every thread count. On: the sampling QTE
   /// answers slots from accurate full-table histograms
   /// (Engine::HistogramSelectivity, O(1), no table access) at the near-zero
-  /// histogram_cost_ms instead of the probe's unit cost, with per-column
-  /// trust learned from estimate-vs-probe error; requests stay deterministic
-  /// given the tier's trust state (like the shared store's snapshot
-  /// semantics).
+  /// SelectivityTierConfig::histogram_cost_ms instead of the probe's unit
+  /// cost, with per-column trust learned from estimate-vs-probe error (the
+  /// tier runs at its own SelectivityTierConfig defaults); requests stay
+  /// deterministic given the tier's trust state (like the shared store's
+  /// snapshot semantics).
   bool histogram_selectivity = false;
-  /// Equi-width buckets per numeric column. Must be > 0 when the tier is on.
-  size_t histogram_buckets = 64;
-  /// Grid cells per axis for point columns. Must be > 0 when the tier is on.
-  size_t histogram_grid_cells = 64;
-  /// Virtual cost charged per histogram-answered slot (replaces the probe's
-  /// QteParams::unit_cost_ms). Must be finite and >= 0 when the tier is on.
-  double histogram_cost_ms = 0.5;
-  /// Demotion threshold: a (table, column) whose windowed mean relative
-  /// error vs probes exceeds this falls back to probing. Must be finite and
-  /// > 0 when the tier is on.
-  double max_histogram_rel_error = 0.35;
-  /// Per-(table, column) error samples retained for the trust decision.
-  /// Must be > 0 when the tier is on.
-  size_t histogram_error_window = 32;
 
   /// Rewrite-result cache (DESIGN.md "Rewrite-result cache"). Off (default):
   /// every request runs its strategy's full search and ServeBatch stays
@@ -146,11 +129,9 @@ struct ServiceConfig {
   /// bin share a decision (the documented fidelity trade, like
   /// signature_literal_bins).
   bool result_cache = false;
-  /// Cached decisions retained (CLOCK/second-chance eviction, per shard).
-  /// Must be > 0 when the cache is on.
+  /// Cached decisions retained (CLOCK/second-chance eviction, per shard of
+  /// RewriteResultCache::Config::shards). Must be > 0 when the cache is on.
   size_t result_cache_capacity = 4096;
-  /// Result-cache lock shards. Must be > 0 and <= capacity when on.
-  size_t result_cache_shards = 8;
   /// Width of one effective-tau key bin, virtual ms
   /// (FingerprintOptions::tau_bin_ms). Must be finite and > 0 when on.
   double result_cache_tau_bin_ms = 25.0;
@@ -169,13 +150,9 @@ struct ServiceConfig {
   /// deterministic given the snapshot it was served under.
   bool online_learning = false;
   /// Buffered transitions that trigger a background fine-tune round. Must
-  /// be > 0 when online learning is on.
+  /// be in [1, ContinualTrainer::Config::replay_capacity] (the per-key sink
+  /// bound) when online learning is on.
   size_t online_min_transitions = 512;
-  /// Replay sink bound per agent key (oldest transitions dropped beyond it)
-  /// and its lock shards. capacity must be > 0 and shards in [1, capacity]
-  /// when online learning is on.
-  size_t online_replay_capacity = 16384;
-  size_t online_replay_shards = 8;
   /// Minibatch updates per fine-tune round. Must be > 0 when online
   /// learning is on; batch size / discount / target-sync cadence come from
   /// `trainer`.
@@ -228,10 +205,9 @@ struct ServiceConfig {
 
   /// Rejects misconfigurations with InvalidArgument instead of silently
   /// clamping: num_threads pathologies (> kMaxNumThreads), non-finite or
-  /// negative cost/reward knobs, and — when cross_request_cache is on —
-  /// zero capacities, zero shards, shards exceeding capacity, and
-  /// non-positive literal bins. Checked once at service construction; a
-  /// failing config turns every Serve/Warmup call into this error.
+  /// negative cost/reward knobs, and — per enabled plane — zero capacities,
+  /// bins or steps. Checked once at service construction; a failing config
+  /// turns every Serve/Warmup call into this error.
   Status Validate() const;
 
   ServiceConfig& WithQte(QteParams params) {
@@ -274,14 +250,6 @@ struct ServiceConfig {
     cross_request_cache = enabled;
     return *this;
   }
-  ServiceConfig& WithSharedStoreCapacity(size_t capacity) {
-    shared_store_capacity = capacity;
-    return *this;
-  }
-  ServiceConfig& WithSharedStoreShards(size_t shards) {
-    shared_store_shards = shards;
-    return *this;
-  }
   ServiceConfig& WithSignatureLiteralBins(int bins) {
     signature_literal_bins = bins;
     return *this;
@@ -290,36 +258,12 @@ struct ServiceConfig {
     histogram_selectivity = enabled;
     return *this;
   }
-  ServiceConfig& WithHistogramBuckets(size_t buckets) {
-    histogram_buckets = buckets;
-    return *this;
-  }
-  ServiceConfig& WithHistogramGridCells(size_t cells) {
-    histogram_grid_cells = cells;
-    return *this;
-  }
-  ServiceConfig& WithHistogramCostMs(double ms) {
-    histogram_cost_ms = ms;
-    return *this;
-  }
-  ServiceConfig& WithMaxHistogramRelError(double rel_error) {
-    max_histogram_rel_error = rel_error;
-    return *this;
-  }
-  ServiceConfig& WithHistogramErrorWindow(size_t window) {
-    histogram_error_window = window;
-    return *this;
-  }
   ServiceConfig& WithResultCache(bool enabled) {
     result_cache = enabled;
     return *this;
   }
   ServiceConfig& WithResultCacheCapacity(size_t capacity) {
     result_cache_capacity = capacity;
-    return *this;
-  }
-  ServiceConfig& WithResultCacheShards(size_t shards) {
-    result_cache_shards = shards;
     return *this;
   }
   ServiceConfig& WithResultCacheTauBinMs(double ms) {
@@ -336,14 +280,6 @@ struct ServiceConfig {
   }
   ServiceConfig& WithOnlineMinTransitions(size_t transitions) {
     online_min_transitions = transitions;
-    return *this;
-  }
-  ServiceConfig& WithOnlineReplayCapacity(size_t capacity) {
-    online_replay_capacity = capacity;
-    return *this;
-  }
-  ServiceConfig& WithOnlineReplayShards(size_t shards) {
-    online_replay_shards = shards;
     return *this;
   }
   ServiceConfig& WithOnlineGradientSteps(size_t steps) {
@@ -606,6 +542,39 @@ class MalivaService {
   /// Never builds — the cache probe paths must stay O(1).
   const Rewriter* FindBuiltRewriter(const std::string& name) const;
 
+  /// The strategy `request` names, or the configured default.
+  const std::string& StrategyName(const RewriteRequest& request) const {
+    return request.strategy.empty() ? config_.default_strategy : request.strategy;
+  }
+
+  /// Everything that decides a request besides its query: the result-cache
+  /// key and the state the search reads.
+  struct DecisionContext {
+    const std::string* name = nullptr;  ///< StrategyName(request)
+    double tau_ms = 0.0;                ///< request tau, else the strategy's
+    CanonicalQuery canonical;           ///< empty unless keyed
+    uint64_t epoch = 0;                 ///< catalog version; 0 unless keyed
+    /// Online plane: the agent key the strategy serves from (null = frozen
+    /// weights) and its newest snapshot, pinned for the whole request.
+    const char* agent_key = nullptr;
+    PublishedModel model;
+    uint64_t snapshot_version = 0;  ///< model's version; 0 without one
+    uint64_t fingerprint = 0;       ///< result-cache key; 0 unless keyed
+  };
+
+  /// The one key resolver, for a validated request and its already found
+  /// strategy. `keyed` canonicalizes the query and fingerprints the context
+  /// (a `prof` span kSignature covers both); unkeyed, only the name, tau and
+  /// snapshot are resolved.
+  DecisionContext ResolveContext(const RewriteRequest& request,
+                                 const Rewriter& strategy, bool keyed,
+                                 QueryProfiler* prof) const;
+
+  /// Probe-path resolver (TryServeCached, FingerprintRequest, ServeBatch's
+  /// dedup): a keyed context, or nullopt for a misconfigured service, an
+  /// invalid request or a strategy not yet built. Never builds, never counts.
+  std::optional<DecisionContext> ProbeContext(const RewriteRequest& request) const;
+
   /// num_threads with 0 resolved to hardware concurrency.
   size_t ResolvedNumThreads() const;
 
@@ -626,11 +595,13 @@ class MalivaService {
   /// Tau/floor binning of result-cache keys, derived from the config.
   FingerprintOptions fingerprint_options_;
 
-  /// The one accounting routine: counts one finished request (`response`
-  /// null = it failed) into the registry. ServeIndexed, TryServeCached and
-  /// ServeBatch's replay phase all end here. A replayed decision counts no
-  /// selectivity work: its rungs were billed when the original miss served.
-  void Account(const RewriteResponse* response, double wall_ms) const;
+  /// The one accounting routine: stamps the wall time since `start` on a
+  /// served response and counts the finished request (`response` null = it
+  /// failed) into the registry. ServeIndexed, TryServeCached and ServeBatch's
+  /// replay phase all end here. A replayed decision counts no selectivity
+  /// work: its rungs were billed when the original miss served.
+  void Account(RewriteResponse* response,
+               std::chrono::steady_clock::time_point start) const;
 
   /// The accounting plane: every serve-path handle is resolved at
   /// construction, so recording is relaxed atomics, zero registry lookups.

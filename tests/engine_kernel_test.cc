@@ -2,17 +2,20 @@
 //
 // ReferenceExecutePlan below is the row-at-a-time executor the kernel
 // replaced: per-row predicate evaluation, materialized and sorted index
-// lists intersected with IntersectAll, and a right-side join filter that
+// lists intersected smallest first, and a right-side join filter that
 // re-evaluates every predicate by column name. Engine::ExecutePlan must
 // return the same ExecResult for every plan: exec_ms bit for bit, every
 // PlanCards field, and the visualization output.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <functional>
+#include <iterator>
 #include <limits>
+#include <span>
 #include <unordered_map>
 
 #include "engine/binning.h"
@@ -43,6 +46,37 @@ bool RefEvalPredicate(const Table& table, const Predicate& pred, RowId row) {
       return pred.box.Contains(col.PointAt(row));
   }
   return false;
+}
+
+/// The rows of a B-tree range, materialized and sorted into row order.
+RowIdList RefRangeScan(const BTreeIndex& idx, double lo, double hi) {
+  std::span<const RowId> rows = idx.RangeRows(lo, hi);
+  RowIdList out(rows.begin(), rows.end());
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// The rows of an R-tree box query, materialized and sorted into row order.
+RowIdList RefBoxQuery(const RTreeIndex& idx, const BoundingBox& box) {
+  RowIdList out;
+  idx.ForEach(box, [&out](RowId r) { out.push_back(r); });
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// Intersection of sorted lists, smallest first; empty for no lists.
+RowIdList RefIntersectAll(std::vector<const RowIdList*> lists) {
+  if (lists.empty()) return {};
+  std::sort(lists.begin(), lists.end(),
+            [](const RowIdList* x, const RowIdList* y) { return x->size() < y->size(); });
+  RowIdList acc = *lists[0];
+  for (size_t i = 1; i < lists.size() && !acc.empty(); ++i) {
+    RowIdList next;
+    std::set_intersection(acc.begin(), acc.end(), lists[i]->begin(), lists[i]->end(),
+                          std::back_inserter(next));
+    acc = std::move(next);
+  }
+  return acc;
 }
 
 uint64_t RefMixSeed(uint64_t engine_seed, const Query& query, const PlanSpec& spec) {
@@ -146,7 +180,7 @@ Result<ExecResult> ReferenceExecutePlan(const Engine& engine, const Query& query
           if (it == entry->btrees.end()) {
             return Status::FailedPrecondition("no btree index on " + p.column);
           }
-          list = it->second->RangeScan(p.range.lo, p.range.hi);
+          list = RefRangeScan(*it->second, p.range.lo, p.range.hi);
           break;
         }
         case PredicateType::kSpatialBox: {
@@ -154,7 +188,7 @@ Result<ExecResult> ReferenceExecutePlan(const Engine& engine, const Query& query
           if (it == entry->rtrees.end()) {
             return Status::FailedPrecondition("no rtree index on " + p.column);
           }
-          list = it->second->Query(p.box);
+          list = RefBoxQuery(*it->second, p.box);
           break;
         }
       }
@@ -163,7 +197,7 @@ Result<ExecResult> ReferenceExecutePlan(const Engine& engine, const Query& query
     }
     std::vector<const RowIdList*> list_ptrs;
     for (const RowIdList& l : lists) list_ptrs.push_back(&l);
-    RowIdList candidates = IntersectAll(list_ptrs);
+    RowIdList candidates = RefIntersectAll(list_ptrs);
     cards.residual_preds = static_cast<double>(m - static_cast<size_t>(std::popcount(mask)));
     size_t processed = 0;
     for (RowId row : candidates) {
@@ -204,7 +238,7 @@ Result<ExecResult> ReferenceExecutePlan(const Engine& engine, const Query& query
         auto it = right->btrees.find(p0.column);
         if (it != right->btrees.end() && p0.type != PredicateType::kKeyword &&
             p0.type != PredicateType::kSpatialBox) {
-          rows = it->second->RangeScan(p0.range.lo, p0.range.hi);
+          rows = RefRangeScan(*it->second, p0.range.lo, p0.range.hi);
           if (js.right_predicates.size() > 1) {
             RowIdList kept;
             for (RowId r : rows) {

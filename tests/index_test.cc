@@ -3,11 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <span>
 
 #include "index/btree_index.h"
 #include "index/hash_index.h"
 #include "index/inverted_index.h"
-#include "index/rowset.h"
 #include "index/rtree_index.h"
 #include "util/rng.h"
 #include "util/string_util.h"
@@ -15,31 +16,26 @@
 namespace maliva {
 namespace {
 
-TEST(RowSetTest, IntersectSorted) {
-  RowIdList a{1, 3, 5, 7, 9};
-  RowIdList b{3, 4, 5, 9, 10};
-  EXPECT_EQ(IntersectSorted(a, b), (RowIdList{3, 5, 9}));
-  EXPECT_TRUE(IntersectSorted(a, {}).empty());
+/// True when `rows` is strictly increasing (sorted and duplicate-free).
+bool StrictlyIncreasing(const RowIdList& rows) {
+  return std::adjacent_find(rows.begin(), rows.end(), std::greater_equal<RowId>()) ==
+         rows.end();
 }
 
-TEST(RowSetTest, IntersectAllSmallestFirst) {
-  RowIdList a{1, 2, 3, 4, 5, 6, 7, 8};
-  RowIdList b{2, 4, 6, 8};
-  RowIdList c{4, 8};
-  EXPECT_EQ(IntersectAll({&a, &b, &c}), (RowIdList{4, 8}));
-  EXPECT_EQ(IntersectAll({&a}), a);
-  EXPECT_TRUE(IntersectAll({}).empty());
+/// The rows of a B-tree range, in row order.
+RowIdList RangeRowsSorted(const BTreeIndex& idx, double lo, double hi) {
+  std::span<const RowId> rows = idx.RangeRows(lo, hi);
+  RowIdList out(rows.begin(), rows.end());
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
-TEST(RowSetTest, UnionSorted) {
-  EXPECT_EQ(UnionSorted({1, 3}, {2, 3, 4}), (RowIdList{1, 2, 3, 4}));
-}
-
-TEST(RowSetTest, IsSortedUnique) {
-  EXPECT_TRUE(IsSortedUnique({}));
-  EXPECT_TRUE(IsSortedUnique({1, 2, 9}));
-  EXPECT_FALSE(IsSortedUnique({1, 1}));
-  EXPECT_FALSE(IsSortedUnique({2, 1}));
+/// The rows an R-tree visits for `box`, in row order.
+RowIdList ForEachSorted(const RTreeIndex& idx, const BoundingBox& box) {
+  RowIdList out;
+  idx.ForEach(box, [&out](RowId r) { out.push_back(r); });
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 // ---------- BTreeIndex ----------
@@ -64,7 +60,7 @@ TEST_P(BTreeIndexProperty, MatchesBruteForce) {
   for (int trial = 0; trial < 30; ++trial) {
     double lo = rng.Uniform(-120.0, 120.0);
     double hi = lo + rng.Uniform(0.0, 80.0);
-    RowIdList got = idx.RangeScan(lo, hi);
+    RowIdList got = RangeRowsSorted(idx, lo, hi);
     RowIdList expect;
     for (RowId r = 0; r < n; ++r) {
       if (vals[r] >= lo && vals[r] <= hi) expect.push_back(r);
@@ -96,7 +92,15 @@ TEST(BTreeIndexTest, ResultsSorted) {
   for (int i = 0; i < 500; ++i) t.MutableColumnAt(0).AppendDouble(rng.Uniform(0, 1));
   ASSERT_TRUE(t.Seal().ok());
   BTreeIndex idx(t, "v");
-  EXPECT_TRUE(IsSortedUnique(idx.RangeScan(0.2, 0.8)));
+  // RangeRows walks the range in key order (ties by row id), so its rows
+  // are distinct and their keys nondecreasing.
+  std::span<const RowId> rows = idx.RangeRows(0.2, 0.8);
+  ASSERT_FALSE(rows.empty());
+  const Column& col = t.GetColumn("v");
+  for (size_t i = 1; i < rows.size(); ++i) {
+    EXPECT_LE(col.NumericAt(rows[i - 1]), col.NumericAt(rows[i]));
+  }
+  EXPECT_TRUE(StrictlyIncreasing(RangeRowsSorted(idx, 0.2, 0.8)));
 }
 
 // ---------- RTreeIndex ----------
@@ -121,7 +125,7 @@ TEST_P(RTreeIndexProperty, MatchesBruteForce) {
     double lon = rng.Uniform(-12, 10);
     double lat = rng.Uniform(-6, 4);
     BoundingBox box{lon, lat, lon + rng.Uniform(0, 8), lat + rng.Uniform(0, 4)};
-    RowIdList got = idx.Query(box);
+    RowIdList got = ForEachSorted(idx, box);
     RowIdList expect;
     for (RowId r = 0; r < n; ++r) {
       if (box.Contains(pts[r])) expect.push_back(r);
@@ -142,7 +146,7 @@ TEST(RTreeIndexTest, BoundsCoverAll) {
   }
   ASSERT_TRUE(t.Seal().ok());
   RTreeIndex idx(t, "p");
-  EXPECT_EQ(idx.Query(idx.Bounds()).size(), 300u);
+  EXPECT_EQ(ForEachSorted(idx, idx.Bounds()).size(), 300u);
   EXPECT_GE(idx.Height(), 2u);  // 300 points, fanout 64 -> at least 2 levels
 }
 
@@ -151,7 +155,7 @@ TEST(RTreeIndexTest, EmptyQuery) {
   t.MutableColumnAt(0).AppendPoint({0, 0});
   ASSERT_TRUE(t.Seal().ok());
   RTreeIndex idx(t, "p");
-  EXPECT_TRUE(idx.Query({5, 5, 6, 6}).empty());
+  EXPECT_TRUE(ForEachSorted(idx, {5, 5, 6, 6}).empty());
 }
 
 // ---------- InvertedIndex ----------
@@ -181,7 +185,7 @@ TEST(InvertedIndexTest, PostingsSorted) {
   ASSERT_TRUE(t.Seal().ok());
   InvertedIndex idx(t, "text");
   for (int w = 0; w <= 30; ++w) {
-    EXPECT_TRUE(IsSortedUnique(idx.Lookup("w" + std::to_string(w))));
+    EXPECT_TRUE(StrictlyIncreasing(idx.Lookup("w" + std::to_string(w))));
   }
 }
 

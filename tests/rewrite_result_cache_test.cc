@@ -20,6 +20,7 @@
 #include "service/rewrite_result_cache.h"
 #include "service/service.h"
 #include "service/service_fleet.h"
+#include "util/query_profiler.h"
 
 namespace maliva {
 namespace {
@@ -38,7 +39,7 @@ TEST(ResultCacheUnitTest, BeginMissPublishHitRoundTrip) {
   RewriteResultCache cache({.capacity = 16, .shards = 2});
   RewriteResultCache::Ticket miss = cache.Begin(42, 1, 1);
   ASSERT_EQ(miss.role, RewriteResultCache::Role::kLeader);
-  cache.Publish(miss, 42, 1, 1, Marked(7.0));
+  cache.Publish(miss, Marked(7.0));
 
   RewriteResultCache::Ticket hit = cache.Begin(42, 1, 1);
   ASSERT_EQ(hit.role, RewriteResultCache::Role::kHit);
@@ -55,13 +56,13 @@ TEST(ResultCacheUnitTest, BeginMissPublishHitRoundTrip) {
 TEST(ResultCacheUnitTest, ContextMismatchDeclinesAndReplacesInPlace) {
   RewriteResultCache cache({.capacity = 16, .shards = 1});
   RewriteResultCache::Ticket t = cache.Begin(42, /*epoch=*/1, /*snapshot=*/1);
-  cache.Publish(t, 42, 1, 1, Marked(1.0));
+  cache.Publish(t, Marked(1.0));
 
   // Same fingerprint, moved epoch: never trusted, and the recompute's
   // publish replaces the resident entry without growing the map.
   RewriteResultCache::Ticket stale = cache.Begin(42, /*epoch=*/2, 1);
   ASSERT_EQ(stale.role, RewriteResultCache::Role::kLeader);
-  cache.Publish(stale, 42, 2, 1, Marked(2.0));
+  cache.Publish(stale, Marked(2.0));
   EXPECT_EQ(cache.Size(), 1u);
   EXPECT_EQ(cache.Snapshot().stale_declines, 1u);
 
@@ -72,7 +73,7 @@ TEST(ResultCacheUnitTest, ContextMismatchDeclinesAndReplacesInPlace) {
   // A snapshot-version move declines the same way.
   RewriteResultCache::Ticket snap = cache.Begin(42, 2, /*snapshot=*/9);
   EXPECT_EQ(snap.role, RewriteResultCache::Role::kLeader);
-  cache.Abort(snap, 42);
+  cache.Abort(snap);
   EXPECT_EQ(cache.Snapshot().stale_declines, 2u);
 }
 
@@ -81,7 +82,7 @@ TEST(ResultCacheUnitTest, ClockEvictionGivesReferencedEntriesASecondChance) {
   for (uint64_t key = 1; key <= 4; ++key) {
     RewriteResultCache::Ticket t = cache.Begin(key, 1, 1);
     ASSERT_EQ(t.role, RewriteResultCache::Role::kLeader);
-    cache.Publish(t, key, 1, 1, Marked(static_cast<double>(key)));
+    cache.Publish(t, Marked(static_cast<double>(key)));
   }
   // Reference key 2 — the first entry the hand will reach. The sweep must
   // clear its bit and evict key 3 (the first unreferenced victim) instead.
@@ -89,7 +90,7 @@ TEST(ResultCacheUnitTest, ClockEvictionGivesReferencedEntriesASecondChance) {
 
   RewriteResultCache::Ticket t5 = cache.Begin(5, 1, 1);
   ASSERT_EQ(t5.role, RewriteResultCache::Role::kLeader);
-  cache.Publish(t5, 5, 1, 1, Marked(5.0));
+  cache.Publish(t5, Marked(5.0));
 
   EXPECT_EQ(cache.Snapshot().evictions, 1u);
   EXPECT_EQ(cache.Size(), 4u);
@@ -97,7 +98,7 @@ TEST(ResultCacheUnitTest, ClockEvictionGivesReferencedEntriesASecondChance) {
   EXPECT_EQ(cache.Begin(5, 1, 1).role, RewriteResultCache::Role::kHit);
   RewriteResultCache::Ticket evicted = cache.Begin(3, 1, 1);
   EXPECT_EQ(evicted.role, RewriteResultCache::Role::kLeader);
-  cache.Abort(evicted, 3);
+  cache.Abort(evicted);
 }
 
 TEST(ResultCacheUnitTest, ShardCountIsClampedToCapacity) {
@@ -126,7 +127,7 @@ TEST(ResultCacheUnitTest, FollowerReceivesLeaderValue) {
   // reached WaitForLeader yet must not matter (done is latched, not
   // pulsed).
   while (!enrolled.load()) std::this_thread::yield();
-  cache.Publish(leader, 42, 1, 1, Marked(7.0));
+  cache.Publish(leader, Marked(7.0));
   follower.join();
 
   ASSERT_TRUE(followed.has_value());
@@ -153,7 +154,7 @@ TEST(ResultCacheUnitTest, AbortWakesFollowersEmptyAndFreesTheKey) {
     followed = cache.WaitForLeader(t);
   });
   while (!enrolled.load()) std::this_thread::yield();
-  cache.Abort(leader, 42);
+  cache.Abort(leader);
   follower.join();
 
   EXPECT_FALSE(followed.has_value());  // compute solo, not coalesced
@@ -163,7 +164,38 @@ TEST(ResultCacheUnitTest, AbortWakesFollowersEmptyAndFreesTheKey) {
   // The aborted flight is deregistered: the key is free to lead again.
   RewriteResultCache::Ticket retry = cache.Begin(42, 1, 1);
   EXPECT_EQ(retry.role, RewriteResultCache::Role::kLeader);
-  cache.Abort(retry, 42);
+  cache.Abort(retry);
+}
+
+TEST(ResultCacheUnitTest, DroppingAnUnresolvedLeaderTicketAbortsItsFlight) {
+  RewriteResultCache cache({.capacity = 16, .shards = 1});
+  std::optional<RewriteResultCache::Ticket> leader;
+  leader.emplace(cache.Begin(42, 1, 1));
+  ASSERT_EQ(leader->role, RewriteResultCache::Role::kLeader);
+  // Moving a ticket moves the duty to resolve it: the moved-from shell
+  // aborts nothing, so the flight stays open for the follower below.
+  std::optional<RewriteResultCache::Ticket> moved;
+  moved.emplace(std::move(*leader));
+  leader.reset();
+
+  std::optional<CachedRewrite> followed = Marked(0.0);
+  std::atomic<bool> enrolled{false};
+  std::thread follower([&cache, &followed, &enrolled] {
+    RewriteResultCache::Ticket t = cache.Begin(42, 1, 1);
+    ASSERT_EQ(t.role, RewriteResultCache::Role::kFollower);
+    enrolled.store(true);
+    followed = cache.WaitForLeader(t);
+  });
+  while (!enrolled.load()) std::this_thread::yield();
+  moved.reset();  // an early return between Begin and Publish
+  follower.join();
+
+  EXPECT_FALSE(followed.has_value());  // woken empty: computes solo
+  EXPECT_EQ(cache.Size(), 0u);
+  RewriteResultCache::Ticket retry = cache.Begin(42, 1, 1);
+  ASSERT_EQ(retry.role, RewriteResultCache::Role::kLeader);
+  cache.Publish(retry, Marked(1.0));
+  EXPECT_EQ(cache.Begin(42, 1, 1).role, RewriteResultCache::Role::kHit);
 }
 
 TEST(ResultCacheUnitTest, FlightUnderDifferentContextYieldsSolo) {
@@ -175,8 +207,8 @@ TEST(ResultCacheUnitTest, FlightUnderDifferentContextYieldsSolo) {
   RewriteResultCache::Ticket solo = cache.Begin(42, /*epoch=*/2, 1);
   EXPECT_EQ(solo.role, RewriteResultCache::Role::kSolo);
   EXPECT_EQ(solo.flight, nullptr);
-  cache.Publish(leader, 42, 1, 1, Marked(1.0));
-  cache.Publish(solo, 42, 2, 1, Marked(2.0));
+  cache.Publish(leader, Marked(1.0));
+  cache.Publish(solo, Marked(2.0));
 
   // The solo's newer-context publish landed last and is the resident entry.
   RewriteResultCache::Ticket hit = cache.Begin(42, 2, 1);
@@ -192,7 +224,7 @@ TEST(ResultCacheUnitTest, ProbeNeverCountsMissesOrEnrollsFlights) {
   // The probe did not become a leader: the next Begin leads.
   RewriteResultCache::Ticket t = cache.Begin(42, 1, 1);
   ASSERT_EQ(t.role, RewriteResultCache::Role::kLeader);
-  cache.Publish(t, 42, 1, 1, Marked(7.0));
+  cache.Publish(t, Marked(7.0));
 
   std::optional<CachedRewrite> probed = cache.Probe(42, 1, 1);
   ASSERT_TRUE(probed.has_value());
@@ -421,6 +453,58 @@ TEST_F(ResultCacheServiceTest, TauAndFloorBinsShareDecisionsWithinABin) {
   EXPECT_FALSE(no_floor.value().stats.result_cache_hit);
 }
 
+TEST_F(ResultCacheServiceTest, FingerprintRequestIsZeroUntilTheStrategyIsBuilt) {
+  MalivaService service(scenario_, SmallConfig().WithResultCache(true));
+  RewriteRequest req = Request(0, "baseline");
+  // Cold strategy: its default tau is unknown without building it, and
+  // fingerprinting never builds.
+  EXPECT_EQ(service.FingerprintRequest(req), 0u);
+  EXPECT_EQ(service.FingerprintRequest(RewriteRequest{}), 0u);  // invalid
+  EXPECT_EQ(service.Stats().requests, 0u);
+
+  ASSERT_TRUE(service.Warmup({"baseline"}).ok());
+  req.tau_ms = 300.0;
+  const uint64_t fp300 = service.FingerprintRequest(req);
+  EXPECT_NE(fp300, 0u);
+  Result<RewriteResponse> miss = service.Serve(req);
+  ASSERT_TRUE(miss.ok());
+  EXPECT_FALSE(miss.value().stats.result_cache_hit);
+
+  // Same 25 ms bin: the same key, so the same decision.
+  req.tau_ms = 310.0;
+  EXPECT_EQ(service.FingerprintRequest(req), fp300);
+  Result<RewriteResponse> hit = service.Serve(req);
+  ASSERT_TRUE(hit.ok());
+  EXPECT_TRUE(hit.value().stats.result_cache_hit);
+
+  // Next bin: a different key and its own search.
+  req.tau_ms = 330.0;
+  EXPECT_NE(service.FingerprintRequest(req), fp300);
+  Result<RewriteResponse> next_bin = service.Serve(req);
+  ASSERT_TRUE(next_bin.ok());
+  EXPECT_FALSE(next_bin.value().stats.result_cache_hit);
+}
+
+TEST_F(ResultCacheServiceTest, ProfiledHitBillsItsRender) {
+  MalivaService service(
+      scenario_, SmallConfig().WithResultCache(true).WithProfileRequests(true));
+  RewriteRequest req = Request(0, "baseline");
+  Result<RewriteResponse> miss = service.Serve(req);
+  ASSERT_TRUE(miss.ok());
+  ASSERT_TRUE(miss.value().stats.profile.has_value());
+  EXPECT_EQ(miss.value().stats.profile->phases[QueryProfiler::kRender].count, 1u);
+
+  Result<RewriteResponse> hit = service.Serve(req);
+  ASSERT_TRUE(hit.ok());
+  ASSERT_TRUE(hit.value().stats.result_cache_hit);
+  ASSERT_TRUE(hit.value().stats.profile.has_value());
+  const ProfileBreakdown& profile = *hit.value().stats.profile;
+  EXPECT_EQ(profile.phases[QueryProfiler::kRender].count, 1u);
+  EXPECT_EQ(profile.phases[QueryProfiler::kCacheProbe].count, 1u);
+  EXPECT_EQ(profile.phases[QueryProfiler::kSearch].count, 0u);
+  EXPECT_EQ(hit.value().rewritten_sql, miss.value().rewritten_sql);
+}
+
 TEST_F(ResultCacheServiceTest, TryServeCachedIsProbeOnly) {
   MalivaService service(scenario_, SmallConfig().WithResultCache(true));
   RewriteRequest req = Request(0);
@@ -444,8 +528,6 @@ TEST_F(ResultCacheServiceTest, ValidateRejectsBadKnobs) {
   req.strategy = "baseline";
   ServiceConfig bad[] = {
       SmallConfig().WithResultCache(true).WithResultCacheCapacity(0),
-      SmallConfig().WithResultCache(true).WithResultCacheShards(0),
-      SmallConfig().WithResultCache(true).WithResultCacheCapacity(4).WithResultCacheShards(8),
       SmallConfig().WithResultCache(true).WithResultCacheTauBinMs(0.0),
       SmallConfig().WithResultCache(true).WithResultCacheTauBinMs(-5.0),
       SmallConfig().WithResultCache(true).WithResultCacheFloorBins(0),

@@ -200,15 +200,7 @@ TEST_F(ServiceKnowledgePlaneTest, ValidateRejectsPathologies) {
   expect_invalid(ServiceConfig().WithNumThreads(static_cast<size_t>(-1)));
   expect_invalid(ServiceConfig().WithNumThreads(ServiceConfig::kMaxNumThreads + 1));
 
-  // Cache knobs: zero / conflicting values.
-  expect_invalid(
-      ServiceConfig().WithCrossRequestCache(true).WithSharedStoreCapacity(0));
-  expect_invalid(
-      ServiceConfig().WithCrossRequestCache(true).WithSharedStoreShards(0));
-  expect_invalid(ServiceConfig()
-                     .WithCrossRequestCache(true)
-                     .WithSharedStoreCapacity(8)
-                     .WithSharedStoreShards(16));
+  // Cache knobs: non-positive literal bins.
   expect_invalid(
       ServiceConfig().WithCrossRequestCache(true).WithSignatureLiteralBins(0));
   expect_invalid(
@@ -222,13 +214,13 @@ TEST_F(ServiceKnowledgePlaneTest, ValidateRejectsPathologies) {
       std::numeric_limits<double>::quiet_NaN()));
 
   // With the flag off, cache knob values are inert and not rejected.
-  EXPECT_TRUE(ServiceConfig().WithSharedStoreCapacity(0).Validate().ok());
+  EXPECT_TRUE(ServiceConfig().WithSignatureLiteralBins(0).Validate().ok());
 }
 
 TEST_F(ServiceKnowledgePlaneTest, MisconfiguredServiceFailsServeAndWarmup) {
   MalivaService service(
       scenario_,
-      SmallConfig().WithCrossRequestCache(true).WithSharedStoreCapacity(0));
+      SmallConfig().WithCrossRequestCache(true).WithSignatureLiteralBins(0));
 
   RewriteRequest req;
   req.query = scenario_->evaluation[0];

@@ -344,18 +344,13 @@ TEST_F(ServiceOnlineTest, ValidateRejectsOnlinePathologies) {
     EXPECT_EQ(st.code(), Status::Code::kInvalidArgument);
   };
   expect_invalid(ServiceConfig().WithOnlineLearning(true).WithOnlineMinTransitions(0));
-  expect_invalid(ServiceConfig().WithOnlineLearning(true).WithOnlineReplayCapacity(0));
-  expect_invalid(ServiceConfig().WithOnlineLearning(true).WithOnlineReplayShards(0));
-  expect_invalid(ServiceConfig()
-                     .WithOnlineLearning(true)
-                     .WithOnlineReplayCapacity(4)
-                     .WithOnlineReplayShards(8));
   // A trigger threshold the bounded sink can never reach would make the
   // plane silently inert.
-  expect_invalid(ServiceConfig()
-                     .WithOnlineLearning(true)
-                     .WithOnlineReplayCapacity(256)
-                     .WithOnlineMinTransitions(512));
+  const size_t sink = ContinualTrainer::Config{}.replay_capacity;
+  EXPECT_TRUE(
+      ServiceConfig().WithOnlineLearning(true).WithOnlineMinTransitions(sink).Validate().ok());
+  expect_invalid(
+      ServiceConfig().WithOnlineLearning(true).WithOnlineMinTransitions(sink + 1));
   expect_invalid(ServiceConfig().WithOnlineLearning(true).WithOnlineGradientSteps(0));
   expect_invalid(
       ServiceConfig().WithOnlineLearning(true).WithOnlineLearningRate(0.0));
